@@ -84,10 +84,13 @@ def heaviside(lo=-1, hi=1) -> RegulatedFn:
 
 
 def heaviside_step(lo=-1, hi=1) -> RegulatedFn:
-    """H1 as exact step data."""
-    return RegulatedFn.from_step(
-        StepFn([Fraction(lo), Fraction(0), Fraction(hi)],
-               [Fraction(0), Fraction(1)], Fraction(0)), "heaviside_step")
+    """H1 as exact step data; constant (base value H1(lo)) unless lo < 0 < hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo < 0 < hi:
+        sf = StepFn([lo, Fraction(0), hi], [Fraction(0), Fraction(1)], Fraction(0))
+    else:
+        sf = StepFn([lo, hi], [Fraction(int(lo >= 0))], Fraction(int(lo > 0)))
+    return RegulatedFn.from_step(sf, "heaviside_step")
 
 
 def monomial(k: int, lo=0, hi=1) -> RegulatedFn:

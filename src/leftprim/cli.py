@@ -19,7 +19,6 @@ from . import builders as B
 from . import suites as SU
 from .funcspace import integrate_regulated, norm
 from .gauge import stieltjes
-from .intervals import Interval
 from .reporting import (RunReport, export, load_config, stepfn_from_doc)
 
 
@@ -136,7 +135,7 @@ def cmd_example(args):
 
 
 def _emit_report(rep: RunReport, args):
-    if args.format == "csv" and hasattr(rep, "traces"):
+    if args.format == "csv" and rep.traces:
         path = args.out or f"{rep.run_id}_trace.csv"
         export(rep.traces[1], path, "csv", grid=rep.system.grid,
                thin=max(1, len(rep.system.grid) // 64))
@@ -174,28 +173,6 @@ def cmd_solve(args):
         rep = run_ex01(T=float(cfg.get("T", args.T) or 5.0),
                        per_unit=int(cfg.get("grid", 256)))
         return _emit_report(rep, args)
-    if kind == "constant":
-        # y_i' = h_i with fixed grid primitives: the operator ignores x
-        from .solver import CauchySystem, GridFn, SubSuperPair, as_grid
-        gridn = int(cfg.get("grid", 128))
-        T = float(cfg.get("T", 1.0))
-        grid = np.linspace(0.0, T, gridn + 1)
-        c = [float(v) for v in cfg.get("initial_values", [0.0])]
-        slopes = [float(v) for v in cfg.get("slopes", [0.0] * len(c))]
-        maps = [lambda x, s=s: GridFn(grid, s * grid) for s in slopes]
-        S = CauchySystem(len(c), maps, c, Interval(0, T + 1e-9), grid)
-        span = 1.0 + max(abs(s) for s in slopes) * T
-        pair = SubSuperPair(
-            [GridFn(grid, ci + si * grid - span) for ci, si in zip(c, slopes)],
-            [GridFn(grid, ci + si * grid + span) for ci, si in zip(c, slopes)])
-        from .solver import smallest_greatest as sg
-        y_lo, y_hi, _ = sg(S, pair, tol=float(cfg.get("tol", 1e-12)))
-        rep = RunReport("solve:constant")
-        rep.parameters = dict(cfg)
-        rep.outputs = {"solution_at_T": [float(as_grid(y, grid)[-1])
-                                         for y in y_lo]}
-        _emit(rep.to_text(), args)
-        return 0
     if kind == "random_monotone":
         rng = np.random.default_rng(int(cfg.get("seed", args.seed)))
         S = SY.random_monotone_system(rng, m=int(cfg.get("dimension", 2)),

@@ -1,10 +1,10 @@
-"""Left-regulated functions: representation facade and the space operations.
+"""Left-regulated functions: the space facade and its operations.
 
-A :class:`RegulatedFn` wraps one of the concrete carriers (exact
-:class:`~leftprim.stepfn.StepFn`, exact :class:`~leftprim.stepfn.PiecewisePoly`,
-or a symbolic expression) together with its interval, an optional registered
-primitive, and linear-combination / product structure.  All operations in
-this module are pure; values are immutable after construction.
+A :class:`RegulatedFn` pairs one :mod:`~leftprim.symbolic` expression tree
+(exact :class:`~leftprim.stepfn.StepFn` / :class:`~leftprim.stepfn.PiecewisePoly`
+data are leaves of it) with its interval and an optional registered
+primitive.  All operations in this module are pure; values are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -24,35 +24,48 @@ from .stepfn import PiecewisePoly, StepFn
 class RegulatedFn:
     """A left-regulated scalar function on an interval.
 
-    ``kind`` is one of ``step`` / ``poly`` / ``symbolic`` / ``lincomb`` /
-    ``product``.  Symbolic variants evaluate the left-limit branch at their
-    declared discontinuities (right-limit branch at the domain minimum when
-    it exists), so every instance is left-continuous as seen through
-    :meth:`value`.
+    ``expr`` is a :mod:`~leftprim.symbolic` expression tree; exact step and
+    polynomial data sit in it as :class:`~leftprim.symbolic.StepLeaf` /
+    :class:`~leftprim.symbolic.PolyLeaf` leaves.  Nodes evaluate the
+    left-limit branch at their declared discontinuities and the right branch
+    at the domain minimum when it exists (exact leaves keep their stored
+    base value there), so every instance is left-continuous as seen through
+    :meth:`value`.  ``primitive`` is an optional registered antiderivative.
     """
 
-    def __init__(self, kind, payload, interval: Interval, name: str = "",
+    def __init__(self, expr: sym.Expr, interval: Interval, name: str = "",
                  primitive: "RegulatedFn | None" = None):
-        self.kind = kind
-        self.payload = payload
+        self.expr = expr
         self.interval = interval
         self.name = name
-        self.primitive = primitive  # registered antiderivative, if any
+        self.primitive = primitive
+
+    @property
+    def kind(self) -> str:
+        """``step`` / ``poly`` for exact leaves, ``lincomb`` / ``product`` /
+        ``symbolic`` otherwise (derived from the root node)."""
+        return _KINDS.get(type(self.expr), "symbolic")
+
+    @property
+    def payload(self):
+        """The exact StepFn / PiecewisePoly data of a leaf, else the expression."""
+        leaf = isinstance(self.expr, (sym.StepLeaf, sym.PolyLeaf))
+        return self.expr.data if leaf else self.expr
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def from_step(cls, step: StepFn, name: str = "") -> "RegulatedFn":
-        return cls("step", step, step.interval, name)
+        return cls(sym.StepLeaf(step), step.interval, name)
 
     @classmethod
     def from_poly(cls, poly: PiecewisePoly, name: str = "") -> "RegulatedFn":
-        return cls("poly", poly, Interval(poly.lo, poly.hi), name)
+        return cls(sym.PolyLeaf(poly), Interval(poly.lo, poly.hi), name)
 
     @classmethod
     def from_expr(cls, expr: sym.Expr, interval: Interval, name: str = "",
                   primitive: "RegulatedFn | None" = None) -> "RegulatedFn":
-        return cls("symbolic", expr, interval, name, primitive)
+        return cls(expr, interval, name, primitive)
 
     @classmethod
     def lincomb(cls, parts, interval=None, name: str = "") -> "RegulatedFn":
@@ -65,7 +78,8 @@ class RegulatedFn:
                 term = f.payload.map(lambda v, c=c: _like(c, v) * v)
                 acc = term if acc is None else acc + term
             return cls.from_step(acc, name)
-        return cls("lincomb", parts, iv, name)
+        return cls(sym.Sum([sym.Scale(c, f.expr, f.primitive) for c, f in parts]),
+                   iv, name)
 
     @classmethod
     def product_of(cls, f: "RegulatedFn", g: "RegulatedFn", name: str = "") -> "RegulatedFn":
@@ -75,7 +89,7 @@ class RegulatedFn:
             fp = f.payload.as_poly() if f.kind == "step" else f.payload
             gp = g.payload.as_poly() if g.kind == "step" else g.payload
             return cls.from_poly(fp * gp, name)
-        return cls("product", (f, g), f.interval, name)
+        return cls(sym.Product(f.expr, g.expr), f.interval, name)
 
     @classmethod
     def constant(cls, value, interval: Interval, name: str = "") -> "RegulatedFn":
@@ -83,8 +97,7 @@ class RegulatedFn:
                                              Fraction(value)), name)
 
     def with_primitive(self, primitive: "RegulatedFn") -> "RegulatedFn":
-        return RegulatedFn(self.kind, self.payload, self.interval, self.name,
-                           primitive)
+        return RegulatedFn(self.expr, self.interval, self.name, primitive)
 
     def __repr__(self):
         label = self.name or self.kind
@@ -93,59 +106,30 @@ class RegulatedFn:
     # -- evaluation ---------------------------------------------------------------
 
     def value(self, t):
-        lo = self.interval.lo
         if not self.interval.contains(t):
             raise DomainError(f"{t} outside {self.interval}")
-        if self.kind == "step" or self.kind == "poly":
-            return self.payload(t)  # exact when the payload is exact
-        if self.kind == "lincomb":
-            return sum(c * f.value(t) for c, f in self.payload)
-        if self.kind == "product":
-            f, g = self.payload
-            return f.value(t) * g.value(t)
-        if t == lo:
-            try:
-                return self.payload.ev(t, +1)
-            except sym.SecondKindLimit:
-                return self.payload.ev(t, 0)
-        return self.payload.ev(t, 0)
+        if t == self.interval.lo:
+            return self.expr.ev_min(t)
+        return self.expr.ev(t, 0)
 
     def left_limit(self, t):
         if not self.interval.contains(t) or t == self.interval.lo:
             raise DomainError(f"no left limit at {t}")
-        if self.kind in ("step", "poly"):
-            return self.payload.left_limit(t)
-        if self.kind == "lincomb":
-            return sum(c * f.left_limit(t) for c, f in self.payload)
-        if self.kind == "product":
-            f, g = self.payload
-            return f.left_limit(t) * g.left_limit(t)
-        return self.payload.ev(t, -1)
+        return self.expr.ev(t, -1)
 
     def right_limit(self, t):
         """Right limit, or None when it does not exist (second kind)."""
         if not self.interval.contains(t) or t == self.interval.hi:
             return None
-        if self.kind in ("step", "poly"):
-            return self.payload.right_limit(t)
-        if self.kind == "lincomb":
-            vals = [f.right_limit(t) for _, f in self.payload]
-            if any(v is None for v in vals):
-                return None
-            return sum(c * v for (c, _), v in zip(self.payload, vals))
         try:
-            if self.kind == "product":
-                f, g = self.payload
-                expr = sym.Product(_as_expr_like(f), _as_expr_like(g))
-                return expr.ev(t, +1)
-            return self.payload.ev(t, +1)
+            return self.expr.ev(t, +1)
         except sym.SecondKindLimit:
             return None
 
     def sample(self, ts) -> np.ndarray:
         """Vectorised values: left branch, right branch at the domain minimum."""
         ts = np.asarray(ts, dtype=float)
-        out = self._sample_left(ts)
+        out = self.expr.ev_array(ts)
         lo = float(self.interval.lo)
         at_min = ts <= lo
         if np.any(at_min):
@@ -153,105 +137,29 @@ class RegulatedFn:
             out[at_min] = self.value(self.interval.lo)
         return out
 
-    def _sample_left(self, ts) -> np.ndarray:
-        if self.kind == "step":
-            sf = self.payload
-            breaks = np.array([float(b) for b in sf.breaks])
-            vals = np.array([float(v) for v in sf.values])
-            idx = np.clip(np.searchsorted(breaks, ts, side="left") - 1,
-                          0, len(vals) - 1)
-            out = vals[idx]
-            out[ts <= breaks[0]] = float(sf.base_value)
-            return out
-        if self.kind == "poly":
-            return self.payload.sample_array(ts)
-        if self.kind == "lincomb":
-            acc = np.zeros_like(ts)
-            for c, f in self.payload:
-                acc += float(c) * f._sample_left(ts)
-            return acc
-        if self.kind == "product":
-            f, g = self.payload
-            return f._sample_left(ts) * g._sample_left(ts)
-        return self.payload.ev_array(ts)
-
     # -- structure ------------------------------------------------------------------
 
     def jumps(self, lo=None, hi=None):
         lo = self.interval.lo if lo is None else lo
         hi = self.interval.hi if hi is None else hi
-        if self.kind == "step":
-            return [b for b in self.payload.jump_points() if lo <= b <= hi]
-        if self.kind == "poly":
-            return []
-        if self.kind == "lincomb":
-            return sym._merge_jumps(f.jumps(lo, hi) for _, f in self.payload)
-        if self.kind == "product":
-            f, g = self.payload
-            return sym._merge_jumps([f.jumps(lo, hi), g.jumps(lo, hi)])
-        return self.payload.jumps(lo, hi)
+        return self.expr.jumps(lo, hi)
 
     def bound_cuts(self, lo, hi):
-        if self.kind == "step":
-            return [Fraction(b) for b in self.payload.breaks if lo <= b <= hi]
-        if self.kind == "poly":
-            return [Fraction(b) for b in self.payload.breaks if lo <= b <= hi]
-        if self.kind == "lincomb":
-            return sym._merge_jumps(f.bound_cuts(lo, hi) for _, f in self.payload)
-        if self.kind == "product":
-            f, g = self.payload
-            return sym._merge_jumps([f.bound_cuts(lo, hi), g.bound_cuts(lo, hi)])
-        return self.payload.bound_cuts(lo, hi)
+        return self.expr.bound_cuts(lo, hi)
 
     def osc_bound_array(self, us, vs):
-        if self.kind == "step":
-            return np.zeros_like(us)  # cut at every breakpoint already
-        if self.kind == "poly":
-            return np.array([_poly_osc(self.payload, u, v) for u, v in zip(us, vs)])
-        if self.kind == "lincomb":
-            acc = np.zeros_like(np.asarray(us, dtype=float))
-            for c, f in self.payload:
-                acc += abs(float(c)) * f.osc_bound_array(us, vs)
-            return acc
-        if self.kind == "product":
-            f, g = self.payload
-            sa = f.sup_bound_cells(us, vs)
-            sb = g.sup_bound_cells(us, vs)
-            return sa * g.osc_bound_array(us, vs) + sb * f.osc_bound_array(us, vs)
-        return self.payload.osc_bound_array(us, vs)
+        return self.expr.osc_bound_array(us, vs)
 
     def sup_bound_cells(self, us, vs):
-        if self.kind == "step":
-            return np.full_like(np.asarray(us, dtype=float),
-                                float(self.payload.sup_norm()))
-        if self.kind == "poly":
-            return np.array([max(abs(float(self.payload(v))),
-                                 abs(float(self.payload(v)))) +
-                             _poly_osc(self.payload, u, v)
-                             for u, v in zip(us, vs)])
-        if self.kind == "lincomb":
-            acc = np.zeros_like(np.asarray(us, dtype=float))
-            for c, f in self.payload:
-                acc += abs(float(c)) * f.sup_bound_cells(us, vs)
-            return acc
-        if self.kind == "product":
-            f, g = self.payload
-            return f.sup_bound_cells(us, vs) * g.sup_bound_cells(us, vs)
-        return np.array([self.payload.sup_bound(u, v) for u, v in zip(us, vs)])
+        return self.expr.sup_bound_array(us, vs)
 
     def sing_class(self) -> int:
-        if self.kind in ("step", "poly"):
-            return sym.BOUNDED
-        if self.kind == "lincomb":
-            return max(f.sing_class() for _, f in self.payload)
-        if self.kind == "product":
-            f, g = self.payload
-            return max(f.sing_class(), g.sing_class())
-        return self.payload.sing_class()
+        return self.expr.sing_class()
 
     def to_step(self) -> StepFn:
-        assert self.kind == "step", "not exact step data"
-        return self.payload
+        if not isinstance(self.expr, sym.StepLeaf):
+            raise TypeError("not exact step data")
+        return self.expr.data
 
     # arithmetic sugar (used heavily by the solver and tests)
     def __add__(self, other):
@@ -267,39 +175,15 @@ class RegulatedFn:
         return RegulatedFn.lincomb([(-1, self)], self.interval)
 
 
+_KINDS = {sym.StepLeaf: "step", sym.PolyLeaf: "poly", sym.Sum: "lincomb",
+          sym.Scale: "lincomb", sym.Product: "product"}
+
+
 def _like(c, v):
     """Coerce scalar c to pair with value v, keeping Fractions exact."""
     if isinstance(v, (Fraction, int)) and isinstance(c, (Fraction, int)):
         return Fraction(c)
     return float(c)
-
-
-def _as_expr_like(f: RegulatedFn):
-    if f.kind == "symbolic":
-        return f.payload
-
-    class _Wrap(sym.Expr):
-        def ev(self, t, side=0):
-            if side < 0:
-                return f.left_limit(t)
-            if side > 0:
-                r = f.right_limit(t)
-                if r is None:
-                    raise sym.SecondKindLimit("no right limit")
-                return r
-            return f.value(t)
-
-    return _Wrap()
-
-
-def _poly_osc(poly: PiecewisePoly, u, v):
-    """Oscillation bound for a piecewise polynomial on a cut-free cell."""
-    i = max(0, min(len(poly.coeffs) - 1,
-                   np.searchsorted([float(b) for b in poly.breaks], float(v)) - 1))
-    c = poly.coeffs[i]
-    scale = max(abs(float(u)), abs(float(v)), 1.0)
-    lip = sum(abs(float(a)) * k * scale ** (k - 1) for k, a in enumerate(c) if k)
-    return lip * (float(v) - float(u))
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +300,13 @@ def lattice(f: RegulatedFn, g: RegulatedFn, op: str) -> RegulatedFn:
     if f.kind == "step" and g.kind == "step":
         out = f.payload.join(g.payload) if op == "join" else f.payload.meet(g.payload)
         return RegulatedFn.from_step(out)
-    expr = sym.PointwiseExtreme(_as_expr_like(f), _as_expr_like(g), op == "join")
-    return RegulatedFn.from_expr(expr, f.interval)
+    return RegulatedFn(sym.PointwiseExtreme(f.expr, g.expr, op == "join"), f.interval)
 
 
 def abs_fn(f: RegulatedFn) -> RegulatedFn:
     if f.kind == "step":
         return RegulatedFn.from_step(f.payload.abs())
-    return RegulatedFn.from_expr(sym.AbsExpr(_as_expr_like(f)), f.interval)
+    return RegulatedFn(sym.AbsExpr(f.expr), f.interval)
 
 
 def pos_fn(f: RegulatedFn) -> RegulatedFn:
@@ -562,26 +445,19 @@ def classify(F: RegulatedFn, J: Interval = None) -> Classification:
 def integrate_regulated(F: RegulatedFn, a, b, tol: float = 1e-10):
     """Integral of F over [a, b] with an error bound.
 
-    Exact for step and piecewise-polynomial data; endpoint difference of a
-    registered primitive when one exists; linearity across combinations;
-    otherwise adaptive quadrature splitting at declared discontinuities.
+    In order of preference: the endpoint difference of a registered
+    primitive; the expression's closed form (exact for step and
+    piecewise-polynomial data, term by term across combinations whose every
+    term has one); otherwise adaptive quadrature splitting at declared
+    discontinuities.
     """
     if a == b:
         return 0.0, 0.0
-    if F.kind == "step" or F.kind == "poly":
-        return F.payload.integral(a, b), 0.0
     if F.primitive is not None:
-        P = F.primitive
-        return P.value(b) - P.value(a), 1e-15 * (abs(P.value(b)) + abs(P.value(a)))
-    if F.kind == "symbolic" and hasattr(F.payload, "integral"):
-        return F.payload.integral(a, b, tol)
-    if F.kind == "lincomb":
-        total, err = 0.0, 0.0
-        for c, f in F.payload:
-            v, e = integrate_regulated(f, a, b, tol)
-            total += float(c) * v
-            err += abs(float(c)) * e
-        return total, err
+        return sym.primitive_difference(F.primitive, a, b)
+    closed = F.expr.integral(a, b, tol)
+    if closed is not None:
+        return closed
     cls = classify(F)
     if not cls.locally_hk:
         raise IntegrabilityError(f"{F!r} is not locally HK integrable")

@@ -24,7 +24,12 @@ from .stepfn import StepFn
 
 @dataclass
 class RunReport:
-    """Structured record of one run; every number carries 'exact' or a tol."""
+    """Structured record of one run; every number carries 'exact' or a tol.
+
+    ``system``, ``solution`` / ``solutions`` and ``traces`` keep the solved
+    system, its solution (or smallest/greatest pair) and the chain traces
+    for export; they are not part of the text report.
+    """
 
     run_id: str
     parameters: dict = field(default_factory=dict)
@@ -32,6 +37,10 @@ class RunReport:
     residuals: dict = field(default_factory=dict)
     stabilization: dict = field(default_factory=dict)
     timing_s: float = 0.0
+    system: object = None
+    solution: list = None
+    solutions: tuple = ()
+    traces: tuple = ()
 
     def to_text(self) -> str:
         doc = {

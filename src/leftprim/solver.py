@@ -99,7 +99,9 @@ class CauchySystem:
     f_i evaluated on it: a function object vanishing (in right limit) at
     ``a``.  ``closure_points`` are branch points where the operator's
     pointwise action degenerates to the identity and left-continuity closure
-    applies.
+    applies.  Random monotone systems also record their exact step forcing
+    terms and the nonnegative link weight matrix, from which their order
+    bounds are built.
     """
 
     m: int
@@ -110,6 +112,8 @@ class CauchySystem:
     monotone: bool = True
     closure_points: tuple = ()
     name: str = ""
+    forcing_steps: list = field(default_factory=list)
+    link_weights: np.ndarray = None
 
     def __post_init__(self):
         assert len(self.component_maps) == self.m == len(self.c)

@@ -1,17 +1,21 @@
-"""Symbolic left-regulated functions with branch-aware evaluation.
+"""Left-regulated functions as expression trees with branch-aware evaluation.
 
-Expression nodes here cover the concrete function families the package
-ships: truncated oscillatory series built from ``frac(n t)`` compositions,
-floor/Heaviside steps, monomials, and the ``t * trig(1/t)`` shapes.  Every
-node knows
+Expression nodes are the package's one function protocol.  Leaves hold exact
+step and piecewise-polynomial data (:class:`StepLeaf`, :class:`PolyLeaf`),
+the truncated oscillatory series built from ``frac(n t)`` compositions,
+floor/Heaviside steps, monomials, and the ``t * trig(1/t)`` shapes; sums,
+scalings, products, pointwise extremes and absolute values combine them.
+Every node knows
 
 * its value with one-sided branch selection (``side`` -1/0/+1 for left
   limit / value / right limit); by convention the value at a declared jump
   is the left-limit branch, which makes every family left-continuous by
   construction,
 * its exact jump set (rationals, as ``Fraction``) on a query interval,
-* certified oscillation and sup bounds on cells that do not straddle a
-  declared cut, which drive the oscillation-partition refinement,
+* certified oscillation and sup bounds on arrays of cells that do not
+  straddle a declared cut, which drive the oscillation-partition refinement
+  (the scalar forms derive from the array forms),
+* a closed-form integral where one exists (``None`` otherwise),
 * a singularity class used by the integrability classifier.
 
 Float evaluation snaps to the left branch within ``SNAP`` of a jump so that
@@ -20,10 +24,13 @@ rational jump locations survive the round trip through binary floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from .quadrature import oscillatory_t_trig
 
 SNAP = 1e-9
 
@@ -73,11 +80,46 @@ def _frac_array(ts, n):
     return phi
 
 
+def _frac_cell(n, us, vs):
+    """phi-range (phi_lo, phi_hi] of frac(n t) over cut-free cells (u, v]."""
+    zv = n * vs
+    fl = np.floor(zv + SNAP * n)
+    at = np.abs(zv - fl) < SNAP * n
+    base = np.where(at, fl - 1, np.floor(zv))
+    phi_hi = np.where(at, 1.0, zv - np.floor(zv))
+    phi_lo = np.maximum(n * us - base, 0.0)
+    return phi_lo, phi_hi
+
+
+def _merge_jumps(lists):
+    lists = list(lists)
+    if len(lists) == 1:
+        return lists[0]
+    out = set()
+    for l in lists:
+        out.update(l)
+    return sorted(out)
+
+
+def primitive_difference(P, a, b):
+    """(P(b) - P(a), rounding bound) for a registered primitive P."""
+    pb, pa = P.value(b), P.value(a)
+    return pb - pa, 1e-15 * (abs(pb) + abs(pa))
+
+
 class Expr:
     """Base node; subclasses override the protocol methods."""
 
     def ev(self, t, side=0) -> float:
         raise NotImplementedError
+
+    def ev_min(self, t):
+        """Value at a domain minimum t: the right branch (right continuity
+        at the minimum), or the value itself where no right limit exists."""
+        try:
+            return self.ev(t, +1)
+        except SecondKindLimit:
+            return self.ev(t, 0)
 
     def ev_array(self, ts: np.ndarray) -> np.ndarray:
         return np.array([self.ev(float(t), 0) for t in ts])
@@ -90,15 +132,21 @@ class Expr:
         """Points osc/sup bound cells must not straddle (defaults to jumps)."""
         return self.jumps(lo, hi)
 
-    def osc_bound(self, u, v) -> float:
-        """Certified oscillation bound on (u, v]; requires no interior cut."""
-        return math.inf
+    # Every node gives its certified bounds in array form only, on cells
+    # (u, v] that straddle none of its bound cuts: osc_bound_array(us, vs)
+    # bounds the oscillation, sup_bound_array(us, vs) bounds |f|.
 
-    def osc_bound_array(self, us, vs) -> np.ndarray:
-        return np.array([self.osc_bound(u, v) for u, v in zip(us, vs)])
+    def osc_bound(self, u, v) -> float:
+        return float(self.osc_bound_array(np.array([float(u)]),
+                                          np.array([float(v)]))[0])
 
     def sup_bound(self, u, v) -> float:
-        return math.inf
+        return float(self.sup_bound_array(np.array([float(u)]),
+                                          np.array([float(v)]))[0])
+
+    def integral(self, a, b, tol=1e-12):
+        """(integral over [a, b], error bound) in closed form, or None."""
+        return None
 
     def sing_class(self) -> int:
         return BOUNDED
@@ -123,6 +171,79 @@ class Expr:
         return Sum([self, Scale(-1, other)])
 
 
+class _ExactLeaf(Expr):
+    """Exact step or piecewise-polynomial data; ``ev`` returns the data's own
+    values (exact rationals when the data is exact)."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def ev(self, t, side=0):
+        if side < 0:
+            return self.data.left_limit(t)
+        if side > 0:
+            return self.data.right_limit(t)
+        return self.data(t)
+
+    def ev_min(self, t):
+        return self.data(t)  # the stored base value
+
+    def bound_cuts(self, lo, hi):
+        return [Fraction(b) for b in self.data.breaks if lo <= b <= hi]
+
+    def integral(self, a, b, tol=1e-12):
+        return self.data.integral(a, b), 0.0
+
+
+class StepLeaf(_ExactLeaf):
+    """A :class:`~leftprim.stepfn.StepFn`: constant between its breakpoints."""
+
+    def ev_array(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        sf = self.data
+        breaks = np.array([float(b) for b in sf.breaks])
+        vals = np.array([float(v) for v in sf.values])
+        idx = np.clip(np.searchsorted(breaks, ts, side="left") - 1,
+                      0, len(vals) - 1)
+        out = vals[idx]
+        out[ts <= breaks[0]] = float(sf.base_value)
+        return out
+
+    def jumps(self, lo, hi):
+        return [b for b in self.data.jump_points() if lo <= b <= hi]
+
+    def osc_bound_array(self, us, vs):
+        return np.zeros(np.shape(us))  # cells are cut at every breakpoint
+
+    def sup_bound_array(self, us, vs):
+        return np.full(np.shape(us), float(self.data.sup_norm()))
+
+
+class PolyLeaf(_ExactLeaf):
+    """A :class:`~leftprim.stepfn.PiecewisePoly` (declares no jumps)."""
+
+    def ev_array(self, ts):
+        return self.data.sample_array(ts)
+
+    def osc_bound_array(self, us, vs):
+        """Lipschitz bound of the cell's polynomial, |a_k| k max(|u|,|v|,1)^(k-1)."""
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        p = self.data
+        breaks = np.array([float(b) for b in p.breaks])
+        idx = np.clip(np.searchsorted(breaks, vs) - 1, 0, len(p.coeffs) - 1)
+        deg = max(len(c) for c in p.coeffs)
+        cmat = np.array([[abs(float(c[k])) if k < len(c) else 0.0
+                          for k in range(deg)] for c in p.coeffs])
+        scale = np.maximum(np.maximum(np.abs(us), np.abs(vs)), 1.0)
+        lip = np.zeros_like(us)
+        for k in range(1, deg):
+            lip = lip + cmat[idx, k] * k * scale ** (k - 1)
+        return lip * (vs - us)
+
+    def sup_bound_array(self, us, vs):
+        return np.abs(self.data.sample_array(vs)) + self.osc_bound_array(us, vs)
+
+
 class Const(Expr):
     def __init__(self, c):
         self.c = float(c)
@@ -133,14 +254,11 @@ class Const(Expr):
     def ev_array(self, ts):
         return np.full_like(np.asarray(ts, dtype=float), self.c)
 
-    def osc_bound(self, u, v):
-        return 0.0
-
     def osc_bound_array(self, us, vs):
-        return np.zeros_like(np.asarray(us, dtype=float))
+        return np.zeros(np.shape(us))
 
-    def sup_bound(self, u, v):
-        return abs(self.c)
+    def sup_bound_array(self, us, vs):
+        return np.full(np.shape(us), abs(self.c))
 
 
 class Monomial(Expr):
@@ -156,14 +274,11 @@ class Monomial(Expr):
     def ev_array(self, ts):
         return np.asarray(ts, dtype=float) ** self.k
 
-    def osc_bound(self, u, v):
-        return abs(float(v) ** self.k - float(u) ** self.k)
-
     def osc_bound_array(self, us, vs):
         return np.abs(vs ** self.k - us ** self.k)
 
-    def sup_bound(self, u, v):
-        return max(abs(float(u)) ** self.k, abs(float(v)) ** self.k)
+    def sup_bound_array(self, us, vs):
+        return np.maximum(np.abs(us) ** self.k, np.abs(vs) ** self.k)
 
 
 class Heaviside(Expr):
@@ -181,14 +296,11 @@ class Heaviside(Expr):
     def jumps(self, lo, hi):
         return [Fraction(0)] if lo <= 0 <= hi else []
 
-    def osc_bound(self, u, v):
-        return 0.0 if (u >= 0 or v <= 0) else 1.0
-
     def osc_bound_array(self, us, vs):
         return np.where((us >= 0) | (vs <= 0), 0.0, 1.0)
 
-    def sup_bound(self, u, v):
-        return 1.0
+    def sup_bound_array(self, us, vs):
+        return np.ones(np.shape(us))
 
 
 class FloorRight(Expr):
@@ -219,46 +331,22 @@ class FloorRight(Expr):
     def jumps(self, lo, hi):
         return _rationals_in(lo, hi, self.n)
 
-    def osc_bound(self, u, v):
-        # constant between consecutive jumps
-        return 0.0
-
     def osc_bound_array(self, us, vs):
-        return np.zeros_like(np.asarray(us, dtype=float))
+        # constant between consecutive jumps
+        return np.zeros(np.shape(us))
 
-    def sup_bound(self, u, v):
-        return max(abs(self.ev(float(u), 1)), abs(self.ev(float(v), -1))) + 1
-
-
-class _FracCell:
-    """Helper: phi-range of frac(n t) over a cut-free cell (u, v]."""
-
-    @staticmethod
-    def range(n, u, v):
-        u, v = float(u), float(v)
-        zv = n * v
-        fl = math.floor(zv + SNAP * n)
-        if abs(zv - fl) < SNAP * n:
-            phi_hi, base = 1.0, fl - 1
-        else:
-            base = math.floor(zv)
-            phi_hi = zv - base
-        phi_lo = n * u - base
-        return max(phi_lo, 0.0), phi_hi
-
-    @staticmethod
-    def range_array(n, us, vs):
-        zv = n * vs
-        fl = np.floor(zv + SNAP * n)
-        at = np.abs(zv - fl) < SNAP * n
-        base = np.where(at, fl - 1, np.floor(zv))
-        phi_hi = np.where(at, 1.0, zv - np.floor(zv))
-        phi_lo = np.maximum(n * us - base, 0.0)
-        return phi_lo, phi_hi
+    def sup_bound_array(self, us, vs):
+        right_at_u = np.floor(np.asarray(us, dtype=float) * self.n)
+        return np.maximum(np.abs(right_at_u), np.abs(self.ev_array(vs))) + 1
 
 
 class SeriesTerm(Expr):
-    """Common machinery for terms built on phi = frac(n t)."""
+    """Common machinery for terms built on phi = frac(n t).
+
+    Subclasses give the term's profile ``g`` (scalar and array forms) and,
+    for the generic bounds, ``g_sup`` / ``g_lip``: array bounds of |g| and of
+    its Lipschitz constant over phi-ranges (phi_lo, phi_hi].
+    """
 
     def __init__(self, n):
         self.n = n
@@ -294,33 +382,19 @@ class SeriesTerm(Expr):
     def bound_cuts(self, lo, hi):
         return _rationals_in(lo, hi, self.n)
 
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        sup = self.g_sup(phi_lo, phi_hi)
-        if phi_lo <= 0:
-            return 2 * sup
-        return min(2 * sup, self.g_lip(phi_lo, phi_hi) * (phi_hi - phi_lo))
-
     def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
+        phi_lo, phi_hi = _frac_cell(self.n, us, vs)
         touch = phi_lo <= 0
         safe_lo = np.where(touch, 0.5, phi_lo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sup = self.g_sup_array(safe_lo, phi_hi)
-            lip = self.g_lip_array(safe_lo, phi_hi)
-            sup_touch = self.g_sup_array(np.zeros_like(phi_lo), phi_hi)
+            sup = self.g_sup(safe_lo, phi_hi)
+            lip = self.g_lip(safe_lo, phi_hi)
+            sup_touch = self.g_sup(np.zeros_like(phi_lo), phi_hi)
         out = np.minimum(2 * sup, lip * (phi_hi - phi_lo))
         return np.where(touch, 2 * sup_touch, out)
 
-    def g_sup_array(self, phi_lo, phi_hi):
-        return np.array([self.g_sup(a, b) for a, b in zip(phi_lo, phi_hi)])
-
-    def g_lip_array(self, phi_lo, phi_hi):
-        return np.array([self.g_lip(a, b) for a, b in zip(phi_lo, phi_hi)])
-
-    def sup_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        return self.g_sup(phi_lo, phi_hi)
+    def sup_bound_array(self, us, vs):
+        return self.g_sup(*_frac_cell(self.n, us, vs))
 
 
 class OscCosTerm(SeriesTerm):
@@ -344,12 +418,6 @@ class OscCosTerm(SeriesTerm):
     def g_lip(self, phi_lo, phi_hi):
         return (2 + math.pi / phi_lo + math.pi ** 2 / (4 * phi_lo ** 2)) / self.n ** 2
 
-    def g_sup_array(self, phi_lo, phi_hi):
-        return (2 * phi_hi + math.pi / 2) / self.n ** 2
-
-    def g_lip_array(self, phi_lo, phi_hi):
-        return (2 + math.pi / phi_lo + math.pi ** 2 / (4 * phi_lo ** 2)) / self.n ** 2
-
 
 class SmoothSquareCosTerm(SeriesTerm):
     """(phi^2 / n^3) cos(pi/(2 phi)); continuous (both one-sided limits 0)."""
@@ -371,15 +439,10 @@ class SmoothSquareCosTerm(SeriesTerm):
         # |d/dphi| = |2 phi cos + (pi/2) sin| <= 2 + pi/2 globally
         return (2 + math.pi / 2) / self.n ** 3
 
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        return min(2 * self.g_sup(phi_lo, phi_hi),
-                   self.g_lip(phi_lo, phi_hi) * (phi_hi - phi_lo))
-
     def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
-        return np.minimum(2 * phi_hi ** 2 / self.n ** 3,
-                          (2 + math.pi / 2) / self.n ** 3 * (phi_hi - phi_lo))
+        phi_lo, phi_hi = _frac_cell(self.n, us, vs)
+        return np.minimum(2 * self.g_sup(phi_lo, phi_hi),
+                          self.g_lip(phi_lo, phi_hi) * (phi_hi - phi_lo))
 
 
 class HardOscTerm(SeriesTerm):
@@ -394,17 +457,9 @@ class HardOscTerm(SeriesTerm):
         return np.cos(a) + a * np.sin(a)
 
     def g_sup(self, phi_lo, phi_hi):
-        if phi_lo <= 0:
-            return math.inf
-        return 1 + math.pi / (2 * phi_lo)
-
-    def g_lip(self, phi_lo, phi_hi):
-        return math.pi / phi_lo ** 2 + math.pi ** 2 / (4 * phi_lo ** 3)
-
-    def g_sup_array(self, phi_lo, phi_hi):
         return np.where(phi_lo <= 0, np.inf, 1 + math.pi / (2 * np.maximum(phi_lo, 1e-300)))
 
-    def g_lip_array(self, phi_lo, phi_hi):
+    def g_lip(self, phi_lo, phi_hi):
         p = np.maximum(phi_lo, 1e-300)
         return math.pi / p ** 2 + math.pi ** 2 / (4 * p ** 3)
 
@@ -431,20 +486,6 @@ class SmoothPhiCosTerm(SeriesTerm):
     def g_lip(self, phi_lo, phi_hi):
         return (1 + math.pi / (2 * phi_lo)) / self.n
 
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        sup = 2 * self.g_sup(phi_lo, phi_hi)
-        if phi_lo <= 0:
-            return sup
-        return min(sup, self.g_lip(phi_lo, phi_hi) * (phi_hi - phi_lo))
-
-    def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
-        p = np.maximum(phi_lo, 1e-300)
-        lipped = (1 + math.pi / (2 * p)) / self.n * (phi_hi - phi_lo)
-        sup = 2 * phi_hi / self.n
-        return np.where(phi_lo <= 0, sup, np.minimum(sup, lipped))
-
 
 class SqrtRecipTerm(SeriesTerm):
     """1 / (2 sqrt(phi)): absolutely integrable power singularity."""
@@ -456,22 +497,12 @@ class SqrtRecipTerm(SeriesTerm):
         return 0.5 / np.sqrt(phi)
 
     def g_sup(self, phi_lo, phi_hi):
-        if phi_lo <= 0:
-            return math.inf
-        return 0.5 / math.sqrt(phi_lo)
-
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        if phi_lo <= 0:
-            return math.inf
-        # monotone in phi: exact oscillation
-        return 0.5 / math.sqrt(phi_lo) - 0.5 / math.sqrt(phi_hi)
+        return np.where(phi_lo <= 0, np.inf, 0.5 / np.sqrt(np.maximum(phi_lo, 1e-300)))
 
     def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
-        p = np.maximum(phi_lo, 1e-300)
-        return np.where(phi_lo <= 0, np.inf,
-                        0.5 / np.sqrt(p) - 0.5 / np.sqrt(phi_hi))
+        phi_lo, phi_hi = _frac_cell(self.n, us, vs)
+        # monotone in phi: exact oscillation
+        return self.g_sup(phi_lo, phi_hi) - 0.5 / np.sqrt(phi_hi)
 
     def sing_class(self):
         return ABS
@@ -495,18 +526,12 @@ class SqrtFloorTerm(SeriesTerm):
     def jumps(self, lo, hi):
         return []
 
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        if phi_lo <= 0:
-            return math.sqrt(phi_hi) / self.n
-        return (math.sqrt(phi_hi) - math.sqrt(phi_lo)) / self.n
-
     def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
+        phi_lo, phi_hi = _frac_cell(self.n, us, vs)
         return (np.sqrt(phi_hi) - np.sqrt(np.maximum(phi_lo, 0.0))) / self.n
 
-    def sup_bound(self, u, v):
-        return (abs(FloorRight(self.n).ev(float(v), -1)) + 1) / self.n
+    def sup_bound_array(self, us, vs):
+        return (np.abs(FloorRight(self.n).ev_array(vs)) + 1) / self.n
 
 
 class LeftFracTerm(SeriesTerm):
@@ -526,16 +551,18 @@ class LeftFracTerm(SeriesTerm):
     def ev_array(self, ts):
         return _frac_array(np.asarray(ts, dtype=float), self.n) / self.n ** self.p
 
-    def osc_bound(self, u, v):
-        phi_lo, phi_hi = _FracCell.range(self.n, u, v)
-        return (phi_hi - max(phi_lo, 0.0)) / self.n ** self.p
-
     def osc_bound_array(self, us, vs):
-        phi_lo, phi_hi = _FracCell.range_array(self.n, us, vs)
+        phi_lo, phi_hi = _frac_cell(self.n, us, vs)
         return (phi_hi - np.maximum(phi_lo, 0.0)) / self.n ** self.p
 
-    def sup_bound(self, u, v):
-        return 1.0 / self.n ** self.p
+    def sup_bound_array(self, us, vs):
+        return np.full(np.shape(us), 1.0 / self.n ** self.p)
+
+
+@functools.lru_cache(maxsize=64)
+def _t_trig_oscillatory_part(trig, a, b, tol):
+    """Certified int_a^b t trig(1/t) dt; pure, so memoised process-wide."""
+    return oscillatory_t_trig(trig, a, b, tol=tol)
 
 
 class Shape(Expr):
@@ -561,32 +588,18 @@ class Shape(Expr):
         out[m] = ts[m] * (1 + self.sign * self._fa(1.0 / ts[m]))
         return out
 
-    def osc_bound(self, u, v):
-        u, v = float(u), float(v)
-        if u <= 0:
-            return 2 * v
-        return min(2 * v, (2 + 1.0 / u) * (v - u))
-
     def osc_bound_array(self, us, vs):
         p = np.maximum(us, 1e-300)
         return np.where(us <= 0, 2 * vs,
                         np.minimum(2 * vs, (2 + 1.0 / p) * (vs - us)))
 
-    def sup_bound(self, u, v):
-        return 2 * float(v)
+    def sup_bound_array(self, us, vs):
+        return 2 * np.asarray(vs, dtype=float)
 
     def integral(self, a, b, tol=1e-12):
         """Exact-splitting integral: t^2/2 term plus certified oscillatory part."""
-        from .quadrature import oscillatory_t_trig
-        key = (float(a), float(b), float(tol))
-        cache = getattr(self, "_int_cache", None)
-        if cache is None:
-            cache = self._int_cache = {}
-        if key not in cache:
-            base = (float(b) ** 2 - float(a) ** 2) / 2
-            osc, err = oscillatory_t_trig(self.trig, float(a), float(b), tol=tol)
-            cache[key] = (base + self.sign * osc, err)
-        return cache[key]
+        osc, err = _t_trig_oscillatory_part(self.trig, float(a), float(b), float(tol))
+        return (float(b) ** 2 - float(a) ** 2) / 2 + self.sign * osc, err
 
 
 class GFactor(Expr):
@@ -626,18 +639,17 @@ class GFactor(Expr):
             out[m] = r * np.sin(r) + np.cos(r) + 1
         return out
 
-    def osc_bound(self, u, v):
-        u, v = float(u), float(v)
-        if u <= 0:
-            return math.inf
-        lip = 1 / u ** 2 + 1 / u ** 3 + 1 / u ** 2 + 1 / u ** 2
-        return min(2 * self.sup_bound(u, v), lip * (v - u))
+    def osc_bound_array(self, us, vs):
+        us = np.asarray(us, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lip = 1 / us ** 2 + 1 / us ** 3 + 1 / us ** 2 + 1 / us ** 2
+            out = np.minimum(2 * self.sup_bound_array(us, vs), lip * (vs - us))
+        return np.where(us > 0, out, np.inf)
 
-    def sup_bound(self, u, v):
-        u = float(u)
-        if u <= 0:
-            return math.inf
-        return 1.0 / u + 2
+    def sup_bound_array(self, us, vs):
+        us = np.asarray(us, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(us > 0, 1.0 / us + 2, np.inf)
 
     def sing_class(self):
         return COND
@@ -647,87 +659,109 @@ class GFactor(Expr):
         return s.ev(b) - s.ev(a), 1e-15
 
 
-class Scale(Expr):
-    def __init__(self, c, inner):
-        self.c = float(c)
+class _Composite(Expr):
+    """A node built from child expressions: jumps and cuts merge, the
+    singularity class is the worst of the children's."""
+
+    def __init__(self, *children):
+        self.children = children
+
+    def jumps(self, lo, hi):
+        return _merge_jumps(x.jumps(lo, hi) for x in self.children)
+
+    def bound_cuts(self, lo, hi):
+        return _merge_jumps(x.bound_cuts(lo, hi) for x in self.children)
+
+    def sing_class(self):
+        return max((x.sing_class() for x in self.children), default=BOUNDED)
+
+
+class Scale(_Composite):
+    """c * inner.  ``c`` stays exact in ``ev`` (a Fraction times exact data
+    is exact); the array paths use float(c).  ``primitive`` is an optional
+    registered antiderivative of ``inner`` (anything with ``value(t)``)."""
+
+    def __init__(self, c, inner, primitive=None):
+        super().__init__(inner)
+        self.c = c
         self.inner = inner
+        self.primitive = primitive
 
     def ev(self, t, side=0):
         return self.c * self.inner.ev(t, side)
 
+    def ev_min(self, t):
+        return self.c * self.inner.ev_min(t)
+
     def ev_array(self, ts):
-        return self.c * self.inner.ev_array(ts)
+        return float(self.c) * self.inner.ev_array(ts)
 
     def jumps(self, lo, hi):
         return [] if self.c == 0 else self.inner.jumps(lo, hi)
 
-    def bound_cuts(self, lo, hi):
-        return self.inner.bound_cuts(lo, hi)
-
-    def osc_bound(self, u, v):
-        return abs(self.c) * self.inner.osc_bound(u, v)
-
     def osc_bound_array(self, us, vs):
-        return abs(self.c) * self.inner.osc_bound_array(us, vs)
+        return abs(float(self.c)) * self.inner.osc_bound_array(us, vs)
 
-    def sup_bound(self, u, v):
-        return abs(self.c) * self.inner.sup_bound(u, v)
+    def sup_bound_array(self, us, vs):
+        return abs(float(self.c)) * self.inner.sup_bound_array(us, vs)
+
+    def integral(self, a, b, tol=1e-12):
+        part = primitive_difference(self.primitive, a, b) \
+            if self.primitive is not None else self.inner.integral(a, b, tol)
+        if part is None:
+            return None
+        return float(self.c) * part[0], abs(float(self.c)) * part[1]
 
     def sing_class(self):
         return BOUNDED if self.c == 0 else self.inner.sing_class()
 
 
-def _merge_jumps(lists):
-    out = set()
-    for l in lists:
-        out.update(l)
-    return sorted(out)
-
-
-class Sum(Expr):
+class Sum(_Composite):
     def __init__(self, terms):
         flat = []
         for t in terms:
             if isinstance(t, Sum):
-                flat.extend(t.terms)
+                flat.extend(t.children)
             else:
                 flat.append(t)
-        self.terms = flat
+        super().__init__(*flat)
 
     def ev(self, t, side=0):
-        return sum(x.ev(t, side) for x in self.terms)
+        return sum(x.ev(t, side) for x in self.children)
+
+    def ev_min(self, t):
+        return sum(x.ev_min(t) for x in self.children)
 
     def ev_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         acc = np.zeros_like(ts)
-        for x in self.terms:
+        for x in self.children:
             acc += x.ev_array(ts)
         return acc
 
-    def jumps(self, lo, hi):
-        return _merge_jumps(x.jumps(lo, hi) for x in self.terms)
-
-    def bound_cuts(self, lo, hi):
-        return _merge_jumps(x.bound_cuts(lo, hi) for x in self.terms)
-
-    def osc_bound(self, u, v):
-        return sum(x.osc_bound(u, v) for x in self.terms)
-
     def osc_bound_array(self, us, vs):
-        acc = np.zeros_like(np.asarray(us, dtype=float))
-        for x in self.terms:
-            acc = acc + x.osc_bound_array(us, vs)
-        return acc
+        return sum((x.osc_bound_array(us, vs) for x in self.children),
+                   np.zeros(np.shape(us)))
 
-    def sup_bound(self, u, v):
-        return sum(x.sup_bound(u, v) for x in self.terms)
+    def sup_bound_array(self, us, vs):
+        return sum((x.sup_bound_array(us, vs) for x in self.children),
+                   np.zeros(np.shape(us)))
 
-    def sing_class(self):
-        return max((x.sing_class() for x in self.terms), default=BOUNDED)
+    def integral(self, a, b, tol=1e-12):
+        """Term by term, only when every term has a closed form."""
+        total = err = 0.0
+        for x in self.children:
+            part = x.integral(a, b, tol)
+            if part is None:
+                return None
+            total += part[0]
+            err += part[1]
+        return total, err
 
 
-class Product(Expr):
+class Product(_Composite):
     def __init__(self, a, b):
+        super().__init__(a, b)
         self.a = a
         self.b = b
 
@@ -748,89 +782,68 @@ class Product(Expr):
             raise
         return va * vb
 
+    def ev_min(self, t):
+        return self.a.ev_min(t) * self.b.ev_min(t)
+
     def ev_array(self, ts):
         return self.a.ev_array(ts) * self.b.ev_array(ts)
 
-    def jumps(self, lo, hi):
-        return _merge_jumps([self.a.jumps(lo, hi), self.b.jumps(lo, hi)])
-
-    def bound_cuts(self, lo, hi):
-        return _merge_jumps([self.a.bound_cuts(lo, hi), self.b.bound_cuts(lo, hi)])
-
-    def osc_bound(self, u, v):
-        sa, sb = self.a.sup_bound(u, v), self.b.sup_bound(u, v)
-        oa, ob = self.a.osc_bound(u, v), self.b.osc_bound(u, v)
-        return sa * ob + sb * oa
-
     def osc_bound_array(self, us, vs):
-        sa = np.array([self.a.sup_bound(u, v) for u, v in zip(us, vs)])
-        sb = np.array([self.b.sup_bound(u, v) for u, v in zip(us, vs)])
+        sa, sb = self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs)
         return sa * self.b.osc_bound_array(us, vs) + sb * self.a.osc_bound_array(us, vs)
 
-    def sup_bound(self, u, v):
-        return self.a.sup_bound(u, v) * self.b.sup_bound(u, v)
-
-    def sing_class(self):
-        return max(self.a.sing_class(), self.b.sing_class())
+    def sup_bound_array(self, us, vs):
+        return self.a.sup_bound_array(us, vs) * self.b.sup_bound_array(us, vs)
 
 
-class PointwiseExtreme(Expr):
+class PointwiseExtreme(_Composite):
     """max or min of two expressions; preserves left continuity."""
 
     def __init__(self, a, b, is_max=True):
+        super().__init__(a, b)
         self.a, self.b, self.is_max = a, b, is_max
 
     def ev(self, t, side=0):
         op = max if self.is_max else min
         return op(self.a.ev(t, side), self.b.ev(t, side))
 
+    def ev_min(self, t):
+        op = max if self.is_max else min
+        return op(self.a.ev_min(t), self.b.ev_min(t))
+
     def ev_array(self, ts):
         op = np.maximum if self.is_max else np.minimum
         return op(self.a.ev_array(ts), self.b.ev_array(ts))
 
-    def jumps(self, lo, hi):
-        return _merge_jumps([self.a.jumps(lo, hi), self.b.jumps(lo, hi)])
+    def osc_bound_array(self, us, vs):
+        return np.maximum(self.a.osc_bound_array(us, vs), self.b.osc_bound_array(us, vs))
 
-    def bound_cuts(self, lo, hi):
-        return _merge_jumps([self.a.bound_cuts(lo, hi), self.b.bound_cuts(lo, hi)])
-
-    def osc_bound(self, u, v):
-        return max(self.a.osc_bound(u, v), self.b.osc_bound(u, v))
-
-    def sup_bound(self, u, v):
-        return max(self.a.sup_bound(u, v), self.b.sup_bound(u, v))
-
-    def sing_class(self):
-        return max(self.a.sing_class(), self.b.sing_class())
+    def sup_bound_array(self, us, vs):
+        return np.maximum(self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs))
 
 
-class AbsExpr(Expr):
+class AbsExpr(_Composite):
     def __init__(self, inner):
+        super().__init__(inner)
         self.inner = inner
 
     def ev(self, t, side=0):
         return abs(self.inner.ev(t, side))
 
+    def ev_min(self, t):
+        return abs(self.inner.ev_min(t))
+
     def ev_array(self, ts):
         return np.abs(self.inner.ev_array(ts))
 
-    def jumps(self, lo, hi):
-        return self.inner.jumps(lo, hi)
+    def osc_bound_array(self, us, vs):
+        return self.inner.osc_bound_array(us, vs)
 
-    def bound_cuts(self, lo, hi):
-        return self.inner.bound_cuts(lo, hi)
-
-    def osc_bound(self, u, v):
-        return self.inner.osc_bound(u, v)
-
-    def sup_bound(self, u, v):
-        return self.inner.sup_bound(u, v)
-
-    def sing_class(self):
-        return self.inner.sing_class()
+    def sup_bound_array(self, us, vs):
+        return self.inner.sup_bound_array(us, vs)
 
 
-class SmoothWrap(Expr):
+class SmoothWrap(_Composite):
     """sin/cos/arctan/tanh of an inner expression (all 1-Lipschitz)."""
 
     _FNS = {"sin": (math.sin, np.sin), "cos": (math.cos, np.cos),
@@ -838,6 +851,7 @@ class SmoothWrap(Expr):
 
     def __init__(self, fn: str, inner):
         assert fn in self._FNS
+        super().__init__(inner)
         self.fn = fn
         self.inner = inner
 
@@ -847,24 +861,15 @@ class SmoothWrap(Expr):
     def ev_array(self, ts):
         return self._FNS[self.fn][1](self.inner.ev_array(ts))
 
-    def jumps(self, lo, hi):
-        return self.inner.jumps(lo, hi)
-
-    def bound_cuts(self, lo, hi):
-        return self.inner.bound_cuts(lo, hi)
-
-    def osc_bound(self, u, v):
-        return min(2.0, self.inner.osc_bound(u, v))
-
     def osc_bound_array(self, us, vs):
         return np.minimum(2.0, self.inner.osc_bound_array(us, vs))
 
-    def sup_bound(self, u, v):
+    def sup_bound_array(self, us, vs):
         cap = math.pi / 2 if self.fn == "arctan" else 1.0
         if self.fn == "cos":
-            return cap
+            return np.full(np.shape(us), cap)
         # sin, arctan, tanh vanish at 0 and are 1-Lipschitz
-        return min(cap, self.inner.sup_bound(u, v))
+        return np.minimum(cap, self.inner.sup_bound_array(us, vs))
 
     def sing_class(self):
         # the composition is bounded; at worst second-kind oscillation remains
@@ -883,17 +888,16 @@ class RecipT(Expr):
     def ev_array(self, ts):
         return 1.0 / np.asarray(ts, dtype=float)
 
-    def osc_bound(self, u, v):
-        u, v = float(u), float(v)
-        if u <= 0 <= v:
-            return math.inf
-        return abs(1 / u - 1 / v)
+    def osc_bound_array(self, us, vs):
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((us <= 0) & (vs >= 0), np.inf, np.abs(1 / us - 1 / vs))
 
-    def sup_bound(self, u, v):
-        u, v = float(u), float(v)
-        if u <= 0 <= v:
-            return math.inf
-        return max(abs(1 / u), abs(1 / v))
+    def sup_bound_array(self, us, vs):
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where((us <= 0) & (vs >= 0), np.inf,
+                            np.maximum(np.abs(1 / us), np.abs(1 / vs)))
 
     def sing_class(self):
         return DIV

@@ -69,8 +69,8 @@ class QuantizedCoefficients:
 
 def ex31_quadratures(tol: float = 1e-12):
     """J_A and J_B via the certified oscillatory route."""
-    JA, eA = B.shape_A().payload.integral(0, 1, tol=tol)
-    JB, eB = B.shape_B().payload.integral(0, 1, tol=tol)
+    JA, eA = B.shape_A().expr.integral(0, 1, tol=tol)
+    JB, eB = B.shape_B().expr.integral(0, 1, tol=tol)
     return JA, JB, eA + eB
 
 
@@ -84,7 +84,6 @@ def ex31_system(T=1, per_unit: int = 4096, quad_tol: float = 1e-12) -> CauchySys
     iv = Interval(Fraction(0), Fraction(T))
     sA = B.shape_A(0, T)
     sB = B.shape_B(0, T)
-    JA, JB, _ = ex31_quadratures(quad_tol)
     grid = make_grid(0, T, per_unit)
 
     def integral01(fn):
@@ -107,16 +106,14 @@ def ex31_system(T=1, per_unit: int = 4096, quad_tol: float = 1e-12) -> CauchySys
         coeff = math.tanh(k2 / 1e4)
         return TaggedFn(RegulatedFn.lincomb([(coeff, sB)]), ("tanh", k2))
 
-    S = CauchySystem(2, [phi1, phi2], [Fraction(0), Fraction(0)], iv, grid,
-                     name="ex31")
-    S.shapes = (sA, sB)
-    S.quadratures = (JA, JB)
-    return S
+    return CauchySystem(2, [phi1, phi2], [Fraction(0), Fraction(0)], iv, grid,
+                        name="ex31")
 
 
 def ex31_subsuper(S: CauchySystem):
     """The +-4 * shape bracketing pair."""
-    sA, sB = S.shapes
+    sA = B.shape_A(S.interval.lo, S.interval.hi)
+    sB = B.shape_B(S.interval.lo, S.interval.hi)
     lower = [RegulatedFn.lincomb([(-4, sA)]), RegulatedFn.lincomb([(-4, sB)])]
     upper = [RegulatedFn.lincomb([(4, sA)]), RegulatedFn.lincomb([(4, sB)])]
     from .solver import SubSuperPair
@@ -280,11 +277,9 @@ def random_monotone_system(rng, m: int = None, per_unit: int = 128,
         return apply
 
     c = [float(rng.uniform(-1, 1)) for _ in range(m)]
-    S = CauchySystem(m, [phi(i) for i in range(m)], c, iv, grid,
-                     name=f"random-monotone-{m}")
-    S.link_weights = A
-    S.forcing_steps = forcing_steps
-    return S
+    return CauchySystem(m, [phi(i) for i in range(m)], c, iv, grid,
+                        name=f"random-monotone-{m}", forcing_steps=forcing_steps,
+                        link_weights=A)
 
 
 def order_bounds_for_random(S: CauchySystem):
