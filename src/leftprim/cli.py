@@ -18,7 +18,7 @@ import numpy as np
 from . import builders as B
 from . import suites as SU
 from .funcspace import integrate_regulated, norm
-from .gauge import stieltjes
+from .gauge import VariationError, stieltjes
 from .reporting import (RunReport, export, load_config, stepfn_from_doc)
 
 
@@ -88,7 +88,12 @@ def cmd_stieltjes(args):
         g = B.heaviside_step(float(f.interval.lo), float(f.interval.hi)).payload
     else:
         g = stepfn_from_doc(load_config(args.g)["stepfn"])
-    v = stieltjes(f, g, f.interval.lo, f.interval.hi, tol=args.tol)
+    try:
+        v = stieltjes(f, g, f.interval.lo, f.interval.hi, tol=args.tol)
+    except VariationError as exc:
+        hint = f"; --tol {exc.loosest_tol:g} or looser works" \
+            if exc.loosest_tol else ""
+        raise SystemExit(f"leftprim stieltjes: {exc}{hint}")
     _emit(f"stieltjes: {float(v)!r}\n", args)
     return 0
 

@@ -10,6 +10,7 @@ a gauge shrinks too fast toward the left endpoint (the denumerable case).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,16 @@ class PartitionOverflow(RuntimeError):
 
 
 class VariationError(ValueError):
-    """Unknown or unbounded total variation."""
+    """Unknown or unbounded total variation, or a tolerance too tight for
+    it; ``loosest_tol``, when set, is a tolerance that is accepted."""
+
+    def __init__(self, message, loosest_tol=None):
+        super().__init__(message)
+        self.loosest_tol = loosest_tol
 
 
 class PartitionError(ValueError):
-    """Structurally invalid tagged partition."""
+    """Structurally invalid gauge or tagged partition."""
 
 
 @dataclass
@@ -49,7 +55,8 @@ class LeftGauge:
     def __call__(self, y, a):
         if self.width is not None:
             d = self.width(y) if callable(self.width) else self.width
-            assert d > 0, "gauge width must be positive"
+            if not d > 0:
+                raise PartitionError(f"gauge width {d} at y={y} is not positive")
             x = max(a, y - d)
         else:
             below = [p for p in self.table if p < y]
@@ -68,7 +75,8 @@ class LeftPartition:
     tags: list
 
     def __post_init__(self):
-        assert len(self.cells) == len(self.tags)
+        if len(self.cells) != len(self.tags):
+            raise PartitionError("need one tag per cell")
         for (x, y), t in zip(self.cells, self.tags):
             if not (x < t <= y):
                 raise PartitionError(f"tag {t} outside cell ({x}, {y}]")
@@ -89,7 +97,8 @@ def fine_partition(gamma: LeftGauge, a, b, max_cells: int = 10_000) -> LeftParti
     partition when max_cells is exceeded (e.g. gauges with gamma(y) inside
     (y/2, y] near 0 admit only denumerable partitions).
     """
-    assert a < b
+    if not a < b:
+        raise DomainError(f"empty interval ({a}, {b}]")
     cells = []
     y = b
     while y > a:
@@ -125,6 +134,13 @@ def _g_right(g, t, hi):
     return g.right_limit(t)
 
 
+def _g_rights(g, ts):
+    """_g_right at each of the ascending points ``ts``, in one walk."""
+    k = bisect_left(ts, g.hi)
+    tail = [g(g.hi)] * (len(ts) - k) if k < len(ts) else []
+    return g.right_limits(ts[:k]) + tail
+
+
 def mu_interval(g, x, y):
     """The Borel measure of (x, y] induced by g: g(y+) - g(x+).
 
@@ -132,7 +148,8 @@ def mu_interval(g, x, y):
     Multiplier; at the domain maximum the right limit is taken as g(b)
     (documented convention).
     """
-    assert x < y
+    if not x < y:
+        raise DomainError(f"empty interval ({x}, {y}]")
     g = _resolve_bv(g)
     return _g_right(g, y, g.hi) - _g_right(g, x, g.hi)
 
@@ -143,6 +160,9 @@ def _variation_of(g):
         return g.variation()
     except NotImplementedError:
         raise VariationError("total variation of g is not known")
+
+
+MAX_LEVEL = 1_000_000  # largest step level stieltjes builds for symbolic F
 
 
 def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
@@ -160,13 +180,17 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
             if (a, b) != (F.payload.lo, F.payload.hi) else F.payload
     else:
         n = max(2, int(float(Vg) / tol) + 1) if Vg > 0 else 2
-        if n > 1_000_000:
+        if n > MAX_LEVEL:
+            # 2 significant digits, rounded up: any tol > Vg/MAX_LEVEL works
+            loosest = float(f"{1.06 * float(Vg) / (MAX_LEVEL - 1):.2g}")
             raise VariationError(
-                f"tolerance {tol} needs step level n={n}; loosen tol or supply step data")
+                f"tolerance {tol:g} needs step level n={n} > {MAX_LEVEL}",
+                loosest_tol=loosest)
         Fn = step_approximation(F, n, Interval(a, b))
+    gv = _g_rights(gr, Fn.breaks)
     total = 0
-    for x, y, v in Fn.to_cells():
-        total += v * (_g_right(gr, y, gr.hi) - _g_right(gr, x, gr.hi))
+    for k, v in enumerate(Fn.values):
+        total += v * (gv[k + 1] - gv[k])
     return total
 
 

@@ -7,18 +7,78 @@ The representation is left-continuous by construction.  When every breakpoint
 and value is a :class:`fractions.Fraction` all operations here are exact;
 float-valued instances arise as step approximations of symbolic functions and
 make no exactness claims.
+
+Costs in comparisons, for operands of n and m cells: evaluation and the
+one-sided limits at a point take O(log n); ``+``, ``-``, ``*``, ``join``,
+``meet``, ``le`` and ``zip_with`` take O(n + m), one forward walk over both
+break lists that also yields the operand cells of every merged cell;
+``refined`` with m extra breaks takes O(n + m) after sorting them;
+``right_limits`` at k ascending points takes O(n + k); ``restrict`` to k
+cells takes O(log n + k).  ``merged``, norms, integrals and ``cumulative``
+are single O(n) passes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .intervals import DomainError, Interval
 
 
+class StepDataError(ValueError):
+    """Malformed step or piecewise-polynomial data."""
+
+
 def _is_exact(xs) -> bool:
     return all(isinstance(x, (Fraction, int)) for x in xs)
+
+
+def _merge(a, b):
+    """Merge two strictly increasing break lists with equal ends.
+
+    Returns the sorted union (a's object where both hold a point) and, for
+    each merged cell ``(pts[k], pts[k+1]]``, the index of the cell of a and
+    of the cell of b that contain it: one forward walk, no lookups.
+    """
+    pts, ia, ib = [a[0]], [], []
+    i = j = 1
+    while i < len(a):  # a and b end on the same point
+        x, y = a[i], b[j]
+        ia.append(i - 1)
+        ib.append(j - 1)
+        if y < x:
+            pts.append(y)
+            j += 1
+        else:
+            pts.append(x)
+            i += 1
+            if not x < y:
+                j += 1
+    return pts, ia, ib
+
+
+def _right_cells(points, breaks):
+    """For each of the ascending ``points`` in ``[breaks[0], breaks[-1])``,
+    the j with ``breaks[j] <= t < breaks[j+1]``: the cell carrying the right
+    limit at t, found in one forward walk.
+
+    Float points are walked against ``float(b)`` of exact breaks: under
+    round-to-nearest ``t < float(b)`` implies ``t < b`` and ``t > float(b)``
+    implies ``t > b``, so only ``t == float(b)`` is settled on ``b`` itself.
+    """
+    if points and (points[0] < breaks[0] or points[-1] >= breaks[-1]):
+        raise DomainError(f"points outside [{breaks[0]}, {breaks[-1]})")
+    keys = breaks
+    if points and all(isinstance(t, float) for t in points):
+        keys = [float(b) for b in breaks]
+    out = []
+    j = 0
+    for t in points:
+        while keys[j + 1] < t or keys[j + 1] == t and breaks[j + 1] <= t:
+            j += 1
+        out.append(j)
+    return out
 
 
 class StepFn:
@@ -29,9 +89,10 @@ class StepFn:
     def __init__(self, breaks, values, base_value=None):
         breaks = list(breaks)
         values = list(values)
-        assert len(breaks) == len(values) + 1, "need one more breakpoint than cells"
-        assert all(breaks[i] < breaks[i + 1] for i in range(len(values))), \
-            "breakpoints must be strictly increasing"
+        if len(breaks) != len(values) + 1:
+            raise StepDataError("need one more breakpoint than cells")
+        if not all(breaks[i] < breaks[i + 1] for i in range(len(values))):
+            raise StepDataError("breakpoints must be strictly increasing")
         if base_value is None:
             # D^lc convention: right-continuous at the minimum
             base_value = values[0]
@@ -105,6 +166,10 @@ class StepFn:
             return self.values[j]
         return self.values[j - 1]
 
+    def right_limits(self, ts):
+        """Right limits at the ascending points ``ts`` of [lo, hi)."""
+        return [self.values[j] for j in _right_cells(ts, self.breaks)]
+
     def sample(self, ts):
         return [self(t) for t in ts]
 
@@ -123,27 +188,28 @@ class StepFn:
         return StepFn(breaks, values, self.base_value)
 
     def refined(self, extra_breaks) -> "StepFn":
-        pts = sorted(set(self.breaks).union(
-            b for b in extra_breaks if self.lo < b < self.hi))
-        values = [self(pts[i + 1]) for i in range(len(pts) - 1)]
-        return StepFn(pts, values, self.base_value)
+        extra = sorted(set(b for b in extra_breaks if self.lo < b < self.hi))
+        pts, cells, _ = _merge(self.breaks, [self.lo, *extra, self.hi])
+        return StepFn(pts, [self.values[j] for j in cells], self.base_value)
 
     def restrict(self, lo, hi) -> "StepFn":
-        assert self.lo <= lo < hi <= self.hi
-        r = self.refined([lo, hi])
-        i0 = r.breaks.index(lo)
-        i1 = r.breaks.index(hi)
+        if not self.lo <= lo < hi <= self.hi:
+            raise DomainError(f"[{lo}, {hi}] not inside [{self.lo}, {self.hi}]")
+        # cells j0..j1 meet (lo, hi]; an end on a breakpoint keeps its object
+        j0 = bisect_right(self.breaks, lo) - 1
+        j1 = bisect_left(self.breaks, hi, lo=1) - 1
+        first, last = self.breaks[j0], self.breaks[j1 + 1]
+        breaks = ([first if first == lo else lo] + self.breaks[j0 + 1:j1 + 1]
+                  + [last if last == hi else hi])
         base = self(lo) if lo > self.lo else self.base_value
-        return StepFn(r.breaks[i0:i1 + 1], r.values[i0:i1], base)
+        return StepFn(breaks, self.values[j0:j1 + 1], base)
 
     @staticmethod
     def _common(f: "StepFn", g: "StepFn"):
         if f.lo != g.lo or f.hi != g.hi:
             raise DomainError("step functions live on different intervals")
-        pts = sorted(set(f.breaks).union(g.breaks))
-        fv = [f(pts[i + 1]) for i in range(len(pts) - 1)]
-        gv = [g(pts[i + 1]) for i in range(len(pts) - 1)]
-        return pts, fv, gv
+        pts, fc, gc = _merge(f.breaks, g.breaks)
+        return pts, [f.values[j] for j in fc], [g.values[j] for j in gc]
 
     def zip_with(self, other: "StepFn", op) -> "StepFn":
         pts, fv, gv = self._common(self, other)
@@ -183,7 +249,8 @@ class StepFn:
                 and a.base_value == b.base_value)
 
     def __hash__(self):
-        return hash((tuple(self.breaks), tuple(self.values), self.base_value))
+        m = self.merged()  # equal functions share their merged form
+        return hash((tuple(m.breaks), tuple(m.values), m.base_value))
 
     # -- lattice ---------------------------------------------------------------
 
@@ -305,7 +372,8 @@ class StepFn:
         breaks = [cells[0][0]]
         values = []
         for x, y, v in cells:
-            assert x == breaks[-1], "cells must be contiguous"
+            if x != breaks[-1]:
+                raise StepDataError("cells must be contiguous")
             breaks.append(y)
             values.append(v)
         return cls(breaks, values, base_value)
@@ -322,7 +390,8 @@ class PiecewisePoly:
     __slots__ = ("breaks", "coeffs", "base_value", "exact")
 
     def __init__(self, breaks, coeffs, base_value=None):
-        assert len(breaks) == len(coeffs) + 1
+        if len(breaks) != len(coeffs) + 1:
+            raise StepDataError("need one more breakpoint than cells")
         self.breaks = list(breaks)
         self.coeffs = [tuple(c) for c in coeffs]
         if base_value is None:
@@ -369,14 +438,15 @@ class PiecewisePoly:
                 else self._horner(self.coeffs[-1], t)
         return self._horner(self.coeffs[j - 1], t)
 
+    def right_limits(self, ts):
+        """Right limits at the ascending points ``ts`` of [lo, hi)."""
+        return [self._horner(self.coeffs[j], t)
+                for j, t in zip(_right_cells(ts, self.breaks), ts)]
+
     def refined(self, extra):
-        pts = sorted(set(self.breaks).union(
-            b for b in extra if self.lo < b < self.hi))
-        coeffs = []
-        for i in range(len(pts) - 1):
-            j = bisect_left(self.breaks, pts[i + 1], lo=1) - 1
-            coeffs.append(self.coeffs[j])
-        return PiecewisePoly(pts, coeffs, self.base_value)
+        extra = sorted(set(b for b in extra if self.lo < b < self.hi))
+        pts, cells, _ = _merge(self.breaks, [self.lo, *extra, self.hi])
+        return PiecewisePoly(pts, [self.coeffs[j] for j in cells], self.base_value)
 
     def sample_array(self, ts):
         """Vectorised left-branch evaluation (float)."""
@@ -400,7 +470,7 @@ class PiecewisePoly:
     def zip_with(self, other, op):
         if self.lo != other.lo or self.hi != other.hi:
             raise DomainError("piecewise polynomials on different intervals")
-        pts = sorted(set(self.breaks).union(other.breaks))
+        pts = _merge(self.breaks, other.breaks)[0]
         a = self.refined(pts)
         b = other.refined(pts)
         coeffs = [op(ca, cb) for ca, cb in zip(a.coeffs, b.coeffs)]
@@ -449,6 +519,19 @@ class PiecewisePoly:
             acc = acc + self._horner(anti, self.breaks[i + 1]) - self._horner(anti, self.breaks[i])
         return PiecewisePoly(list(self.breaks), coeffs,
                              base_value=Fraction(0) if self.exact else 0.0)
+
+    def jump_points(self):
+        """Points where the function jumps: breaks whose left and right
+        limits differ, and the base point when its value differs from the
+        right limit there."""
+        out = []
+        prev = self.base_value
+        for i, c in enumerate(self.coeffs):
+            b = self.breaks[i]
+            if self._horner(c, b) != prev:
+                out.append(b)
+            prev = self._horner(c, self.breaks[i + 1])
+        return out
 
     def variation(self):
         """Exact total variation for cells of degree <= 2."""

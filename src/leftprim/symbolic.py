@@ -188,6 +188,9 @@ class _ExactLeaf(Expr):
     def ev_min(self, t):
         return self.data(t)  # the stored base value
 
+    def jumps(self, lo, hi):
+        return [b for b in self.data.jump_points() if lo <= b <= hi]
+
     def bound_cuts(self, lo, hi):
         return [Fraction(b) for b in self.data.breaks if lo <= b <= hi]
 
@@ -209,9 +212,6 @@ class StepLeaf(_ExactLeaf):
         out[ts <= breaks[0]] = float(sf.base_value)
         return out
 
-    def jumps(self, lo, hi):
-        return [b for b in self.data.jump_points() if lo <= b <= hi]
-
     def osc_bound_array(self, us, vs):
         return np.zeros(np.shape(us))  # cells are cut at every breakpoint
 
@@ -220,7 +220,7 @@ class StepLeaf(_ExactLeaf):
 
 
 class PolyLeaf(_ExactLeaf):
-    """A :class:`~leftprim.stepfn.PiecewisePoly` (declares no jumps)."""
+    """A :class:`~leftprim.stepfn.PiecewisePoly`."""
 
     def ev_array(self, ts):
         return self.data.sample_array(ts)
