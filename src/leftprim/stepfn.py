@@ -424,13 +424,13 @@ class PiecewisePoly:
         return self._horner(self.coeffs[i], t)
 
     def left_limit(self, t):
-        if t <= self.lo:
+        if t <= self.lo or t > self.hi:
             raise DomainError(f"no left limit at {t}")
         i = bisect_left(self.breaks, t, lo=1) - 1
         return self._horner(self.coeffs[i], t)
 
     def right_limit(self, t):
-        if t >= self.hi:
+        if t < self.lo or t >= self.hi:
             raise DomainError(f"no right limit at {t}")
         j = bisect_left(self.breaks, t)
         if j < len(self.breaks) and self.breaks[j] == t:

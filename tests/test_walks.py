@@ -201,6 +201,10 @@ def test_right_limit_walk_at_hi_and_below_lo():
     p = PiecewisePoly([F(0), F(1)], [(F(0), F(1))])
     with pytest.raises(DomainError):
         gauge._g_rights(p, [-0.5, 0.5])
+    with pytest.raises(DomainError):  # the one-point path agrees
+        gauge.mu_interval(p, F(-1, 2), F(1, 2))
+    with pytest.raises(DomainError):
+        p.left_limit(F(2))
 
 
 def test_stieltjes_float_step_against_cellwise_reference():
