@@ -12,7 +12,8 @@ Costs in comparisons, for operands of n and m cells: evaluation and the
 one-sided limits at a point take O(log n); ``+``, ``-``, ``*``, ``join``,
 ``meet``, ``le`` and ``zip_with`` take O(n + m), one forward walk over both
 break lists that also yields the operand cells of every merged cell;
-``refined`` with m extra breaks takes O(n + m) after sorting them;
+``refined`` with m extra breaks takes O(n + m) when they come sorted
+(``PiecewisePoly.zip_with`` passes the merged breaks), O(n + m log m) if not;
 ``right_limits`` at k ascending points takes O(n + k); ``restrict`` to k
 cells takes O(log n + k).  ``merged``, norms, integrals and ``cumulative``
 are single O(n) passes.
@@ -56,6 +57,18 @@ def _merge(a, b):
             if not x < y:
                 j += 1
     return pts, ia, ib
+
+
+def _refine(breaks, extra):
+    """``_merge`` of ``breaks`` with the points of ``extra`` strictly inside
+    them, given in any order and possibly repeated (the first of equal
+    points is kept); returns the merged breaks and their cells of ``breaks``.
+    """
+    lo, hi = breaks[0], breaks[-1]
+    inner = sorted(b for b in extra if lo < b < hi)  # stable; linear if sorted
+    inner = [b for i, b in enumerate(inner) if i == 0 or inner[i - 1] < b]
+    pts, cells, _ = _merge(breaks, [lo, *inner, hi])
+    return pts, cells
 
 
 def _right_cells(points, breaks):
@@ -188,8 +201,7 @@ class StepFn:
         return StepFn(breaks, values, self.base_value)
 
     def refined(self, extra_breaks) -> "StepFn":
-        extra = sorted(set(b for b in extra_breaks if self.lo < b < self.hi))
-        pts, cells, _ = _merge(self.breaks, [self.lo, *extra, self.hi])
+        pts, cells = _refine(self.breaks, extra_breaks)
         return StepFn(pts, [self.values[j] for j in cells], self.base_value)
 
     def restrict(self, lo, hi) -> "StepFn":
@@ -444,8 +456,7 @@ class PiecewisePoly:
                 for j, t in zip(_right_cells(ts, self.breaks), ts)]
 
     def refined(self, extra):
-        extra = sorted(set(b for b in extra if self.lo < b < self.hi))
-        pts, cells, _ = _merge(self.breaks, [self.lo, *extra, self.hi])
+        pts, cells = _refine(self.breaks, extra)
         return PiecewisePoly(pts, [self.coeffs[j] for j in cells], self.base_value)
 
     def sample_array(self, ts):

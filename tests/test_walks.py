@@ -260,8 +260,7 @@ def test_merge_comparisons_linear():
         f, g = counted_step(n), counted_step(m)
         for op in (f.__add__, f.join, f.meet, f.le):
             assert comparisons(lambda: op(g)) <= 6 * (n + m)
-        assert comparisons(lambda: f.refined(g.breaks)) <= 6 * (n + m) + \
-            m * math.ceil(math.log2(m))  # sorting the extra breaks
+        assert comparisons(lambda: f.refined(g.breaks)) <= 6 * (n + m)
 
 
 def test_restrict_comparisons_logarithmic():
