@@ -139,7 +139,7 @@ def test_console_entrypoint():
     assert "builder: heaviside" in r.stdout
 
 
-def test_stieltjes_default_tol_fails_with_a_usable_hint(capsys):
+def test_stieltjes_default_tol_fails_with_a_usable_hint():
     from leftprim.gauge import MAX_LEVEL
     for g in ("heaviside", "identity"):
         with pytest.raises(SystemExit) as exc:
@@ -147,5 +147,5 @@ def test_stieltjes_default_tol_fails_with_a_usable_hint(capsys):
         msg = str(exc.value.code)
         assert "\n" not in msg and "n=10000000001" in msg
         tol = float(msg.split("--tol ")[1].split()[0])
-        assert 1e-6 <= tol <= 1.2e-6  # Vg = 1 for both: any tol > 1e-6 works
+        assert 1e-6 < tol <= 1.2e-6  # Vg = 1 for both: any tol > 1e-6 works
         assert max(2, int(1.0 / tol) + 1) <= MAX_LEVEL
