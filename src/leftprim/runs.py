@@ -104,7 +104,8 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
                           "adding i to the constant on each (i, i+1]")}
     report.residuals = {"fixed_point": residual(S, x), "tag": "grid sup-norm"}
     report.stabilization = {"steps": trace.stabilization_index,
-                            "omega_stages": trace.omega_stages}
+                            "omega_stages": trace.omega_stages,
+                            "uniqueness_steps": utrace.stabilization_index}
     report.timing_s = time.time() - t0
     report.solution = x
     report.system = S

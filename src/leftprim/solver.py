@@ -34,7 +34,17 @@ class MonotonicityError(RuntimeError):
 
 
 class OrderBoundError(ValueError):
-    """Spot check of declared order bounds failed."""
+    """Declared order bounds, or the order of computed solutions, fail on
+    the grid."""
+
+
+class FixedPointError(RuntimeError):
+    """A chain limit is not a fixed point within the residual tolerance."""
+
+
+class SolverDataError(ValueError):
+    """Malformed solver input: mismatched shapes or lengths, an unknown
+    chain direction, or data a route does not accept."""
 
 
 class GridFn:
@@ -45,13 +55,18 @@ class GridFn:
     def __init__(self, grid, values):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        assert self.grid.shape == self.values.shape
+        if self.grid.shape != self.values.shape:
+            raise SolverDataError(
+                f"grid shape {self.grid.shape} != values shape "
+                f"{self.values.shape}")
 
     @classmethod
     def constant(cls, grid, c):
         return cls(grid, np.full(len(grid), float(c)))
 
     def sample(self, ts):
+        if ts is self.grid:
+            return self.values
         ts = np.asarray(ts, dtype=float)
         if ts.shape == self.grid.shape and np.array_equal(ts, self.grid):
             return self.values
@@ -116,7 +131,10 @@ class CauchySystem:
     link_weights: np.ndarray = None
 
     def __post_init__(self):
-        assert len(self.component_maps) == self.m == len(self.c)
+        if not len(self.component_maps) == self.m == len(self.c):
+            raise SolverDataError(
+                f"{self.m} components but {len(self.component_maps)} maps "
+                f"and {len(self.c)} initial values")
 
     def constant_start(self, values) -> list:
         return [GridFn.constant(self.grid, v) for v in values]
@@ -188,11 +206,20 @@ def closure_repair(grid: np.ndarray, closure_points, values: np.ndarray,
     transient, the converged value is the extrapolated left limit."""
     if not len(closure_points):
         return values
+    return _repair_at(closure_indices(grid, closure_points), values,
+                      previous, sign)
+
+
+def _repair_at(indices, values: np.ndarray, previous: np.ndarray = None,
+               sign: float = None) -> np.ndarray:
+    """:func:`closure_repair` at precomputed :func:`closure_indices`."""
     out = values.copy()
-    for j in closure_indices(grid, closure_points):
+    clamp = previous is not None and sign is not None
+    for j in indices:
         extrap = 3 * out[j - 1] - 3 * out[j - 2] + out[j - 3]
-        if previous is not None and sign is not None:
-            extrap = max(extrap, previous[j]) if sign > 0 else                 min(extrap, previous[j])
+        if clamp:
+            extrap = (max(extrap, previous[j]) if sign > 0
+                      else min(extrap, previous[j]))
         out[j] = extrap
     return out
 
@@ -234,13 +261,15 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
     grid, i.e. the latest iterate of the monotone chain, plus left-continuity
     closure) and iteration resumes, up to ``max_omega_stages`` times.
     """
-    assert direction in ("up", "down")
+    if direction not in ("up", "down"):
+        raise SolverDataError(
+            f"chain direction must be 'up' or 'down', not {direction!r}")
     sign = 1.0 if direction == "up" else -1.0
     trace = IterationTrace(direction)
     grid = S.grid
+    cidx = closure_indices(grid, S.closure_points)
     mono_mask = np.ones(len(grid), dtype=bool)
-    for j in closure_indices(grid, S.closure_points):
-        mono_mask[j] = False  # repaired values are definitions, not outputs
+    mono_mask[cidx] = False  # repaired values are definitions, not outputs
     x = list(start)
     xs = [as_grid(f, grid) for f in x]
     trace.add("start", xs)
@@ -250,15 +279,14 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
             x_new = apply_operator(S, x)
             new_samples = [as_grid(f, grid) for f in x_new]
             if S.closure_points:
-                new_samples = [closure_repair(grid, S.closure_points, v,
-                                              previous=ov, sign=sign)
+                new_samples = [_repair_at(cidx, v, previous=ov, sign=sign)
                                for v, ov in zip(new_samples, xs)]
                 x_new = [GridFn(grid, v) for v in new_samples]
             steps_total += 1
             # monotonicity on the grid, stage by stage (closure points are
             # redefined by extrapolation and excluded)
-            worst = min(float(np.min((sign * (nv - ov))[mono_mask]))
-                        for nv, ov in zip(new_samples, xs))
+            moves = [sign * (nv - ov) for nv, ov in zip(new_samples, xs)]
+            worst = min(float(d[mono_mask].min()) for d in moves)
             if S.monotone and worst < -mono_eps:
                 raise MonotonicityError(
                     f"{direction}-chain violated order by {-worst:.3e} "
@@ -269,8 +297,7 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
             if t_old is not None and t_new is not None:
                 equal = t_old == t_new
             else:
-                equal = max(float(np.max(np.abs(nv - ov)))
-                            for nv, ov in zip(new_samples, xs)) <= tol
+                equal = max(float(np.abs(d).max()) for d in moves) <= tol
             x, xs = x_new, new_samples
             if equal:
                 trace.stabilized = True
@@ -279,8 +306,8 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
                 return x, trace
         # omega-stage: monotone chain's pointwise sup/inf is the last iterate;
         # the closure repair is what actually unlocks identity points
-        omega_samples = [closure_repair(grid, S.closure_points, v,
-                                        previous=v, sign=sign) for v in xs]
+        omega_samples = [_repair_at(cidx, v, previous=v, sign=sign)
+                         for v in xs]
         x = [GridFn(grid, v) for v in omega_samples]
         xs = omega_samples
         trace.add(f"omega {omega + 1}", omega_samples)
@@ -340,16 +367,17 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
                                 max_omega_stages, **kw)
     res_tol = res_tol if res_tol is not None else 50 * tol
     r_lo, r_hi = residual(S, y_lo), residual(S, y_hi)
-    assert r_lo <= res_tol and r_hi <= res_tol, \
-        f"chain limits are not fixed points (residuals {r_lo:.2e}, {r_hi:.2e})"
+    if not (r_lo <= res_tol and r_hi <= res_tol):
+        raise FixedPointError(
+            f"chain limits are not fixed points (residuals {r_lo:.2e}, {r_hi:.2e})")
     g = S.grid
-    for a, b in zip(y_lo, y_hi):
-        assert np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9), \
-            "smallest solution exceeds greatest"
-    for a, b in zip(pair.lower, y_lo):
-        assert np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9)
-    for a, b in zip(y_hi, pair.upper):
-        assert np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9)
+    checks = (("smallest solution exceeds greatest", y_lo, y_hi),
+              ("lower bound exceeds the smallest solution", pair.lower, y_lo),
+              ("greatest solution exceeds the upper bound", y_hi, pair.upper))
+    for message, below, above in checks:
+        for a, b in zip(below, above):
+            if not np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9):
+                raise OrderBoundError(message)
     return y_lo, y_hi, (tr_up, tr_dn)
 
 
@@ -392,7 +420,8 @@ def ceil_norm(x: list):
             acc = lattice(acc, abs_fn(f), "join")
         return acc
     grids = [f.grid for f in x if isinstance(f, GridFn)]
-    assert grids, "ceil_norm needs step data or grid functions"
+    if not grids:
+        raise SolverDataError("ceil_norm needs step data or grid functions")
     g = grids[0]
     vals = np.max(np.abs(np.stack([as_grid(f, g) for f in x])), axis=0)
     return GridFn(g, vals)
@@ -443,7 +472,8 @@ def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
     from 0 and up-chain of max{0, F0(y)} from 0), and runs the monotone
     chains of F inside the bracket.
     """
-    assert all(ci == 0 for ci in S.c), "the L1 route needs zero initial values"
+    if not all(ci == 0 for ci in S.c):
+        raise SolverDataError("the L1 route needs zero initial values")
     R = _q_fixed_point(cfg)
     g = S.grid
     rng = rng or np.random.default_rng(1)
@@ -525,6 +555,7 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
     if stag_tol is None:
         h = float(np.min(np.diff(grid)))
         stag_tol = tol * h / 8
+    cidx = closure_indices(grid, M.closure_points)
     w = as_grid(M.w0, grid)
     trace = IterationTrace("down")
     trace.add("start", [w])
@@ -533,11 +564,11 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
         for _ in range(max_steps):
             w_new = as_grid(M.G(GridFn(grid, w)), grid)
             steps += 1
-            if np.any(w_new > w + 1e-9):
+            if (w_new > w + 1e-9).any():
                 raise MonotonicityError("envelope chain is not decreasing")
-            diff = float(np.max(np.abs(w_new - w)))
+            diff = float(np.abs(w_new - w).max())
             w = w_new
-            if float(np.max(w)) <= tol:
+            if float(w.max()) <= tol:
                 trace.add(f"step {steps}", [w])
                 trace.stabilized = True
                 trace.stabilization_index = steps
@@ -545,8 +576,7 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
                 return True, trace
             if diff <= stag_tol:
                 break
-        w = np.maximum(closure_repair(grid, M.closure_points, w,
-                                      previous=w, sign=-1.0), 0.0)
+        w = np.maximum(_repair_at(cidx, w, previous=w, sign=-1.0), 0.0)
         trace.add(f"omega {omega + 1}", [w])
         trace.omega_stages = omega + 1
     certified = bool(float(np.max(w)) <= tol)
@@ -563,7 +593,8 @@ def reduce_higher_order(m: int, g_map, c: list, interval: Interval,
     primitive map of g.  Solving the system and reading component 1 solves
     the original problem.
     """
-    assert m >= 1
+    if m < 1:
+        raise SolverDataError(f"order must be at least 1, not {m}")
 
     def integ(i):
         def phi(x):

@@ -9,6 +9,11 @@ coupling of coefficients to shapes follows the displayed solutions: component
 t(1-sin(1/t)).  Note the printed factor functions would pair the shapes the
 other way around; this module follows the displayed solution coupling and
 records the discrepancy here rather than resolving it.
+
+The segment-affine ``ex01`` operator and its envelope ``G`` compute their
+segment data (the [0, 1] split, each point's segment and the grid index of
+the segment's left end) once, when they are built; each application is then
+two numpy expressions, O(grid) with no loop over segments.
 """
 
 from __future__ import annotations
@@ -123,6 +128,18 @@ def ex31_subsuper(S: CauchySystem):
 # -- the ex01 functional operator --------------------------------------------------------
 
 
+def _ex01_segments(grid: np.ndarray):
+    """Segment data of a sorted grid starting at 0, built once per operator.
+
+    Returns ``(k, s, anchor)``: ``grid[:k]`` is the [0, 1] part; each point
+    of ``grid[k:]`` lies in the segment (i, i+1] with i = ``s`` (as a float)
+    and ``anchor`` is the grid index of i.
+    """
+    k = int(np.searchsorted(grid, 1.0, side="right"))
+    s = np.ceil(grid[k:]) - 1.0
+    return k, s, np.searchsorted(grid, s)
+
+
 def ex01_operator(H, grid: np.ndarray):
     """The segment-affine operator: F(x)(t) = H(t) + t(x(t) - H(1)) on [0,1],
     and x(i) + i + (t-i)(x(t) - x(i) - i) on (i, i+1].
@@ -130,24 +147,17 @@ def ex01_operator(H, grid: np.ndarray):
     ``H`` is a callable on arrays.  At integer points the pointwise action is
     the identity, so the system must declare them as closure points.
     """
-    Hv = H(grid)
+    k, s, anchor = _ex01_segments(grid)
+    Hv0 = H(grid)[:k]
     H1 = float(H(np.array([1.0]))[0])
-    T = float(grid[-1])
-    idx_int = {i: int(np.searchsorted(grid, float(i)))
-               for i in range(1, int(math.floor(T)) + 1)}
-    seg = np.clip(np.ceil(grid - 1e-12).astype(int) - 1, 0, None)  # (i, i+1] -> i
+    g0, gs = grid[:k], grid[k:] - s
 
     def op(x):
         v = as_grid(x, grid)
+        xa = v[anchor]
         out = np.empty_like(v)
-        m0 = grid <= 1.0 + 1e-15
-        out[m0] = Hv[m0] + grid[m0] * (v[m0] - H1)
-        for i in range(1, int(math.floor(T)) + 1):
-            mi = (grid > i) & (grid <= i + 1 + 1e-15)
-            if not np.any(mi):
-                continue
-            xi = v[idx_int[i]]
-            out[mi] = xi + i + (grid[mi] - i) * (v[mi] - xi - i)
+        out[:k] = Hv0 + g0 * (v[:k] - H1)
+        out[k:] = xa + s + gs * (v[k:] - xa - s)
         return GridFn(grid, out)
 
     return op
@@ -187,28 +197,17 @@ def ex01_majorant(T=3, per_unit: int = 256, u=None) -> MajorantOp:
     if u is None:
         u = lambda ts: 1.0 + ts  # positive increasing envelope
     uv = u(grid)
-    idx_int = {i: int(np.searchsorted(grid, float(i)))
-               for i in range(1, int(T) + 1)}
+    k, s, anchor = _ex01_segments(grid)
+    g0, left, right = grid[:k], (s + 1.0) - grid[k:], grid[k:] - s
 
     def G(w):
         v = as_grid(w, grid)
         out = np.empty_like(v)
-        m0 = grid <= 1.0 + 1e-15
-        out[m0] = grid[m0] * v[m0]
-        for i in range(1, int(T) + 1):
-            mi = (grid > i) & (grid <= i + 1 + 1e-15)
-            if not np.any(mi):
-                continue
-            wi = v[idx_int[i]]
-            out[mi] = (i + 1 - grid[mi]) * wi + (grid[mi] - i) * v[mi]
+        out[:k] = g0 * v[:k]
+        out[k:] = left * v[anchor] + right * v[k:]
         return GridFn(grid, out)
 
-    w0 = np.empty_like(grid)
-    m0 = grid <= 1.0 + 1e-15
-    w0[m0] = uv[m0]
-    for i in range(1, int(T) + 1):
-        mi = (grid > i) & (grid <= i + 1 + 1e-15)
-        w0[mi] = np.maximum(uv[mi], uv[idx_int[i]])
+    w0 = np.concatenate([uv[:k], np.maximum(uv[k:], uv[anchor])])
     return MajorantOp(G, GridFn(grid, w0), grid, closure_points=closure)
 
 

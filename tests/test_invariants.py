@@ -6,12 +6,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from leftprim.funcspace import RegulatedFn
 from leftprim.gauge import (LeftGauge, LeftPartition, PartitionError,
                             fine_partition, mu_interval)
-from leftprim.intervals import DomainError
+from leftprim.intervals import DomainError, Interval
+from leftprim.solver import (CauchySystem, FixedPointError, GridFn,
+                             OrderBoundError, SolverDataError, SubSuperPair,
+                             iterate_chain, make_grid, smallest_greatest)
 from leftprim.stepfn import PiecewisePoly, StepDataError, StepFn
 
 F = Fraction
@@ -46,6 +50,50 @@ def test_invariants_raise_under_optimize():
     script = ("from leftprim.stepfn import StepFn, StepDataError\n"
               "try:\n    StepFn([0, 1, 1], [1, 2])\n"
               "except StepDataError:\n    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "raised"
+
+
+def _scalar_system(f, grid, monotone=True):
+    """One component whose map sends a constant x to the constant f(x)."""
+    phi = lambda x: GridFn.constant(grid, f(float(x[0].values[0])))
+    return CauchySystem(1, [phi], [0.0], Interval(0, 1 + 1e-9), grid,
+                        monotone=monotone)
+
+
+def test_solver_data_errors():
+    grid = make_grid(0, 1, 8)
+    with pytest.raises(SolverDataError, match="shape"):
+        GridFn(grid, np.zeros(3))
+    with pytest.raises(SolverDataError, match="2 components"):
+        CauchySystem(2, [lambda x: x[0]], [0.0, 0.0], Interval(0, 1), grid)
+    S = _scalar_system(lambda x: 1.0, grid)
+    with pytest.raises(SolverDataError, match="direction"):
+        iterate_chain(S, S.constant_start([0.0]), "sideways")
+    assert issubclass(SolverDataError, ValueError)
+
+
+def test_smallest_greatest_errors():
+    grid = make_grid(0, 1, 8)
+    S = _scalar_system(lambda x: 0.5 * x + 1.0, grid)  # fixed point 2
+    pair = SubSuperPair(S.constant_start([0.0]), S.constant_start([4.0]))
+    with pytest.raises(FixedPointError, match="not fixed points"):
+        smallest_greatest(S, pair, max_steps=3, max_omega_stages=0)
+    # fixed points 2 and 3; the up chain from 0 jumps to 3, the down chain
+    # from 4 drops to 2, so the computed "smallest" lies above the "greatest"
+    f = lambda x: 3.0 if x < 1 or 2.9 <= x <= 3.1 else 2.0
+    S = _scalar_system(f, grid, monotone=False)
+    with pytest.raises(OrderBoundError, match="smallest solution exceeds greatest"):
+        smallest_greatest(S, pair)
+
+
+def test_solver_errors_raise_under_optimize():
+    script = ("import numpy as np\n"
+              "from leftprim.solver import GridFn, SolverDataError\n"
+              "try:\n    GridFn(np.zeros(4), np.zeros(3))\n"
+              "except SolverDataError:\n    print('raised')\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
