@@ -70,7 +70,8 @@ class RegulatedFn:
     @classmethod
     def lincomb(cls, parts, interval=None, name: str = "") -> "RegulatedFn":
         parts = [(c, f) for c, f in parts]
-        assert parts, "empty linear combination"
+        if not parts:
+            raise ValueError("empty linear combination")
         iv = interval or parts[0][1].interval
         if all(f.kind == "step" for _, f in parts):
             acc = None
@@ -331,7 +332,8 @@ def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
     piecewise-linear cumulative); numeric estimates otherwise.
     """
     J = J or F.interval
-    assert kind in ("alexiewicz", "l1", "sup")
+    if kind not in ("alexiewicz", "l1", "sup"):
+        raise ValueError(f"unknown norm kind {kind!r}")
     if F.kind == "step":
         sf = F.payload
         if (J.lo, J.hi) != (sf.lo, sf.hi):

@@ -23,7 +23,8 @@ from .stepfn import PiecewisePoly, StepFn
 
 
 class MultiplierError(ValueError):
-    """The multiplier density fails a required bound."""
+    """The multiplier density fails a required bound, or is not of the kind
+    an operation needs."""
 
 
 @dataclass
@@ -40,7 +41,8 @@ class Distribution:
     normalized: bool = False
 
     def __post_init__(self):
-        assert self.space_tag in ("LD", "LL", "LR")
+        if self.space_tag not in ("LD", "LL", "LR"):
+            raise ValueError(f"unknown space tag {self.space_tag!r}")
 
     @property
     def interval(self) -> Interval:
@@ -174,7 +176,9 @@ class Multiplier:
 
     def g_fn(self) -> PiecewisePoly:
         """g as an exact piecewise-linear function (step densities only)."""
-        assert self.density.kind == "step"
+        if self.density.kind != "step":
+            raise MultiplierError(
+                f"g_fn needs a step density, not {self.density.kind!r}")
         cum = self.density.payload.cumulative()
         offset = cum(self.anchor)
         return cum + (-1 * offset)

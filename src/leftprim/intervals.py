@@ -21,7 +21,9 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = float(self.lo), float(self.hi)
-        assert lo < hi, "interval endpoints must satisfy lo < hi"
+        if not lo < hi:
+            raise DomainError(
+                f"interval endpoints must satisfy lo < hi, not {self.lo}, {self.hi}")
         if math.isinf(lo):
             object.__setattr__(self, "lo_closed", False)
         if math.isinf(hi):

@@ -331,21 +331,32 @@ class SubSuperPair:
     lower: list
     upper: list
 
+    def _samples(self, grid) -> tuple:
+        """The lower and upper bounds sampled once on ``grid``."""
+        return ([as_grid(f, grid) for f in self.lower],
+                [as_grid(f, grid) for f in self.upper])
+
     def validate(self, S: CauchySystem, check_roles: bool = True):
         """Pointwise order on the grid, plus the sub/supersolution role check
         via primitive comparison: y <= F(y) for the lower, F(y) <= y upper."""
+        self._validate(S, *self._samples(S.grid), check_roles)
+
+    def _validate(self, S: CauchySystem, lo: list, hi: list,
+                  check_roles: bool = True):
+        """:meth:`validate` on the bounds' grid samples ``lo`` / ``hi``; the
+        operator is still applied to the bounds themselves."""
         g = S.grid
-        for lo, hi in zip(self.lower, self.upper):
-            if np.any(as_grid(lo, g) > as_grid(hi, g) + 1e-12):
+        for a, b in zip(lo, hi):
+            if np.any(a > b + 1e-12):
                 raise OrderBoundError("lower exceeds upper on the grid")
         if check_roles:
             flo = apply_operator(S, self.lower)
             fhi = apply_operator(S, self.upper)
-            for y, fy in zip(self.lower, flo):
-                if np.any(as_grid(y, g) > as_grid(fy, g) + 1e-9):
+            for y, fy in zip(lo, flo):
+                if np.any(y > as_grid(fy, g) + 1e-9):
                     raise OrderBoundError("lower bound is not a subsolution")
-            for y, fy in zip(self.upper, fhi):
-                if np.any(as_grid(fy, g) > as_grid(y, g) + 1e-9):
+            for y, fy in zip(hi, fhi):
+                if np.any(as_grid(fy, g) > y + 1e-9):
                     raise OrderBoundError("upper bound is not a supersolution")
 
 
@@ -356,11 +367,14 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
 
     The up-chain from the lower bound yields the smallest solution, the
     down-chain from the upper bound the greatest; both are verified as fixed
-    points on the grid and bracket-ordered.
+    points on the grid and bracket-ordered.  Each bound is sampled on the
+    grid once here (and once more as a chain start); the checks share the
+    samples.
     """
-    pair.validate(S)
+    lo, hi = pair._samples(S.grid)
+    pair._validate(S, lo, hi)
     if S.monotone:
-        S.spot_check_monotone(pair.lower, pair.upper)
+        S.spot_check_monotone(lo, hi)
     y_lo, tr_up = iterate_chain(S, pair.lower, "up", tol, max_steps,
                                 max_omega_stages, **kw)
     y_hi, tr_dn = iterate_chain(S, pair.upper, "down", tol, max_steps,
@@ -372,8 +386,8 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
             f"chain limits are not fixed points (residuals {r_lo:.2e}, {r_hi:.2e})")
     g = S.grid
     checks = (("smallest solution exceeds greatest", y_lo, y_hi),
-              ("lower bound exceeds the smallest solution", pair.lower, y_lo),
-              ("greatest solution exceeds the upper bound", y_hi, pair.upper))
+              ("lower bound exceeds the smallest solution", lo, y_lo),
+              ("greatest solution exceeds the upper bound", y_hi, hi))
     for message, below, above in checks:
         for a, b in zip(below, above):
             if not np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9):
@@ -387,7 +401,8 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
 
     The bounds are distributions; the pair is built from their cumulative
     primitives: y_i = c_i + int_a^t h_i.  The declared order is spot-checked
-    by applying the operator to random vectors inside the candidate interval.
+    by applying the operator to random vectors inside the candidate interval;
+    each bound is sampled on the grid once for all the checks.
     """
     from .integral import cumulative
 
@@ -396,15 +411,16 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
     upper = [cumulative(h, a, S.c[i]) for i, h in enumerate(h_hi)]
     pair = SubSuperPair(lower, upper)
     g = S.grid
+    los, his = pair._samples(g)
     rng = rng or np.random.default_rng(0)
     for _ in range(spot_checks):
         w = rng.uniform(0, 1, size=S.m)
-        x = [GridFn(g, (1 - wi) * as_grid(lo, g) + wi * as_grid(hi, g))
-             for wi, lo, hi in zip(w, lower, upper)]
+        x = [GridFn(g, (1 - wi) * lo + wi * hi)
+             for wi, lo, hi in zip(w, los, his)]
         fx = apply_operator(S, x)
-        for lo, fi, hi in zip(lower, fx, upper):
-            ok = (np.all(as_grid(lo, g) <= as_grid(fi, g) + 1e-9)
-                  and np.all(as_grid(fi, g) <= as_grid(hi, g) + 1e-9))
+        for lo, fi, hi in zip(los, fx, his):
+            fv = as_grid(fi, g)
+            ok = np.all(lo <= fv + 1e-9) and np.all(fv <= hi + 1e-9)
             if not ok:
                 raise OrderBoundError("declared order bounds fail a spot check")
     return pair

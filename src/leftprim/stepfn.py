@@ -35,6 +35,15 @@ def _is_exact(xs) -> bool:
     return all(isinstance(x, (Fraction, int)) for x in xs)
 
 
+def _float_exact(b) -> bool:
+    """Whether ``float(b) == b`` is certain, from b's integer ratio alone
+    (False may also mean "not shown": an even integer beyond 2**53)."""
+    if isinstance(b, float):
+        return True
+    n, d = b.numerator, b.denominator
+    return d & (d - 1) == 0 and d.bit_length() < 1000 and abs(n).bit_length() <= 53
+
+
 def _merge(a, b):
     """Merge two strictly increasing break lists with equal ends.
 
@@ -460,23 +469,32 @@ class PiecewisePoly:
         return PiecewisePoly(pts, [self.coeffs[j] for j in cells], self.base_value)
 
     def sample_array(self, ts):
-        """Vectorised left-branch evaluation (float)."""
+        """Vectorised left-branch evaluation (float), cell for cell as
+        ``__call__``: cells are found against ``float(b)`` of the breaks, and
+        only a point equal to ``float(b) != b`` is settled on ``b`` itself."""
         import numpy as np
 
-        ts = np.asarray(ts, dtype=float)
+        shape = np.shape(ts)
+        ts = np.asarray(ts, dtype=float).ravel()
         breaks = np.array([float(b) for b in self.breaks])
-        idx = np.clip(np.searchsorted(breaks, ts, side="left") - 1,
-                      0, len(self.coeffs) - 1)
-        out = np.zeros_like(ts)
+        pos = np.searchsorted(breaks, ts, side="left")
+        idx = pos - 1
+        base = ts <= breaks[0]
+        near = np.minimum(pos, len(breaks) - 1)
+        for k in np.flatnonzero(breaks[near] == ts):
+            if not _float_exact(self.breaks[near[k]]):
+                t = Fraction(float(ts[k]))
+                idx[k] = bisect_left(self.breaks, t, lo=1) - 1
+                base[k] = t <= self.lo
+        idx = np.clip(idx, 0, len(self.coeffs) - 1)
         deg = max(len(c) for c in self.coeffs)
         cmat = np.array([[float(c[k]) if k < len(c) else 0.0
                           for k in range(deg)] for c in self.coeffs])
         acc = np.zeros_like(ts)
         for k in range(deg - 1, -1, -1):
             acc = acc * ts + cmat[idx, k]
-        out = acc
-        out[ts <= breaks[0]] = float(self.base_value)
-        return out
+        acc[base] = float(self.base_value)
+        return acc.reshape(shape)
 
     def zip_with(self, other, op):
         if self.lo != other.lo or self.hi != other.hi:

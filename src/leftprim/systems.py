@@ -14,6 +14,12 @@ The segment-affine ``ex01`` operator and its envelope ``G`` compute their
 segment data (the [0, 1] split, each point's segment and the grid index of
 the segment's left end) once, when they are built; each application is then
 two numpy expressions, O(grid) with no loop over segments.
+
+A random monotone system samples each exact forcing primitive on its grid in
+one vectorised ``PiecewisePoly.sample_array`` pass (float for float what
+exact evaluation at each grid point gives, but O(cells) exact work per
+component instead of one exact evaluation per grid point) and computes its
+grid spacing once, so each application is O(m * grid) numpy work.
 """
 
 from __future__ import annotations
@@ -243,7 +249,7 @@ def random_monotone_system(rng, m: int = None, per_unit: int = 128,
     """Seeded random increasing order-bounded system on [0, 1].
 
     Component maps integrate a random exact step forcing term (grid
-    primitive computed from the exact cumulative) plus nonnegative-weighted
+    primitive sampled from the exact cumulative) plus nonnegative-weighted
     increasing bounded links tanh(x_j) (grid trapezoid, consistent with the
     piecewise-linear grid semantics); ``shift`` raises the forcing, which is
     used by the comparison experiments.
@@ -261,9 +267,8 @@ def random_monotone_system(rng, m: int = None, per_unit: int = 128,
         if shift:
             sf = sf + Fraction(shift).limit_denominator(64)
         forcing_steps.append(sf)
-        cum = sf.cumulative()
-        forcing_prims.append(
-            np.array([float(cum(t)) for t in grid]))
+        forcing_prims.append(sf.cumulative().sample_array(grid))
+    dg = np.diff(grid)
 
     def phi(i):
         def apply(x):
@@ -271,7 +276,7 @@ def random_monotone_system(rng, m: int = None, per_unit: int = 128,
             for j in range(m):
                 links = links + A[i, j] * np.tanh(as_grid(x[j], grid))
             prim = np.concatenate([[0.0], np.cumsum(
-                0.5 * (links[1:] + links[:-1]) * np.diff(grid))])
+                0.5 * (links[1:] + links[:-1]) * dg)])
             return GridFn(grid, forcing_prims[i] + prim)
         return apply
 

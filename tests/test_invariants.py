@@ -119,3 +119,35 @@ def test_poly_jump_points():
     assert based.jump_points() == [F(0)]
     kink = PiecewisePoly([F(0), F(1), F(2)], [(F(0), F(1)), (F(2), F(-1))])
     assert kink.jump_points() == []  # continuous at 1: both limits are 1
+
+
+SOLVE_PATH_ERRORS = """\
+from fractions import Fraction
+from leftprim.funcspace import RegulatedFn, norm
+from leftprim.integral import Distribution, Multiplier, MultiplierError
+from leftprim.intervals import DomainError, Interval
+from leftprim.stepfn import StepFn
+
+step = RegulatedFn.from_step(StepFn([Fraction(0), Fraction(1)], [Fraction(1)]))
+poly = RegulatedFn.from_poly(step.payload.cumulative())
+cases = [(DomainError, lambda: Interval(1, 0)),
+         (ValueError, lambda: RegulatedFn.lincomb([])),
+         (ValueError, lambda: norm(step, "l2")),
+         (ValueError, lambda: Distribution(poly, "LX")),
+         (MultiplierError, lambda: Multiplier(poly, Fraction(0)).g_fn())]
+for error, make in cases:
+    try:
+        make()
+    except error as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_solve_path_errors_raise_under_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, *flags, "-c", SOLVE_PATH_ERRORS],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["DomainError", "ValueError", "ValueError",
+                                  "ValueError", "MultiplierError"]
