@@ -18,7 +18,7 @@ from . import symbolic as sym
 from .intervals import DomainError, Interval
 from .quadrature import (EstimationError, IntegrabilityError,
                          integrate_piecewise, richardson_limit)
-from .stepfn import PiecewisePoly, StepFn
+from .stepfn import PiecewisePoly, StepFn, float_cells
 
 
 class RegulatedFn:
@@ -376,17 +376,19 @@ def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
 
 def _poly_norm(poly: PiecewisePoly, kind: str, J: Interval, grid: int):
     """Norms of piecewise polynomials: sampled at breakpoints plus a dense
-    grid (sup and the cumulative extrema are attained to O(h^2))."""
+    grid (sup and the cumulative extrema are attained to O(h^2)).  A sample
+    at ``float(b)`` reads the cell closing at the break b."""
     lo, hi = float(J.lo), float(J.hi)
     ts = np.unique(np.concatenate([
         np.linspace(lo, hi, grid + 1),
         np.array([float(b) for b in poly.breaks if lo <= float(b) <= hi])]))
-    vals = poly.sample_array(ts)
+    cells = float_cells(poly.breaks, ts, exact=False)
+    vals = poly.eval_cells(ts, cells)
     if kind == "sup":
         return float(np.max(np.abs(vals)))
     if kind == "l1":
         return float(np.trapezoid(np.abs(vals), ts))
-    cvals = poly.cumulative().sample_array(ts)
+    cvals = poly.cumulative().eval_cells(ts, cells)
     return float(np.max(cvals) - np.min(cvals))
 
 

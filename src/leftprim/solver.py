@@ -331,33 +331,28 @@ class SubSuperPair:
     lower: list
     upper: list
 
-    def _samples(self, grid) -> tuple:
-        """The lower and upper bounds sampled once on ``grid``."""
-        return ([as_grid(f, grid) for f in self.lower],
-                [as_grid(f, grid) for f in self.upper])
-
-    def validate(self, S: CauchySystem, check_roles: bool = True):
+    def validate(self, S: CauchySystem) -> tuple:
         """Pointwise order on the grid, plus the sub/supersolution role check
-        via primitive comparison: y <= F(y) for the lower, F(y) <= y upper."""
-        self._validate(S, *self._samples(S.grid), check_roles)
+        via primitive comparison: y <= F(y) for the lower, F(y) <= y upper.
 
-    def _validate(self, S: CauchySystem, lo: list, hi: list,
-                  check_roles: bool = True):
-        """:meth:`validate` on the bounds' grid samples ``lo`` / ``hi``; the
-        operator is still applied to the bounds themselves."""
+        Each bound is sampled on the grid once; the samples are returned as
+        ``(lower, upper)`` lists of arrays.  The operator is still applied to
+        the bounds themselves."""
         g = S.grid
+        lo = [as_grid(f, g) for f in self.lower]
+        hi = [as_grid(f, g) for f in self.upper]
         for a, b in zip(lo, hi):
             if np.any(a > b + 1e-12):
                 raise OrderBoundError("lower exceeds upper on the grid")
-        if check_roles:
-            flo = apply_operator(S, self.lower)
-            fhi = apply_operator(S, self.upper)
-            for y, fy in zip(lo, flo):
-                if np.any(y > as_grid(fy, g) + 1e-9):
-                    raise OrderBoundError("lower bound is not a subsolution")
-            for y, fy in zip(hi, fhi):
-                if np.any(as_grid(fy, g) > y + 1e-9):
-                    raise OrderBoundError("upper bound is not a supersolution")
+        flo = apply_operator(S, self.lower)
+        fhi = apply_operator(S, self.upper)
+        for y, fy in zip(lo, flo):
+            if np.any(y > as_grid(fy, g) + 1e-9):
+                raise OrderBoundError("lower bound is not a subsolution")
+        for y, fy in zip(hi, fhi):
+            if np.any(as_grid(fy, g) > y + 1e-9):
+                raise OrderBoundError("upper bound is not a supersolution")
+        return lo, hi
 
 
 def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
@@ -371,8 +366,7 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
     grid once here (and once more as a chain start); the checks share the
     samples.
     """
-    lo, hi = pair._samples(S.grid)
-    pair._validate(S, lo, hi)
+    lo, hi = pair.validate(S)
     if S.monotone:
         S.spot_check_monotone(lo, hi)
     y_lo, tr_up = iterate_chain(S, pair.lower, "up", tol, max_steps,
@@ -411,7 +405,8 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
     upper = [cumulative(h, a, S.c[i]) for i, h in enumerate(h_hi)]
     pair = SubSuperPair(lower, upper)
     g = S.grid
-    los, his = pair._samples(g)
+    los = [as_grid(f, g) for f in lower]
+    his = [as_grid(f, g) for f in upper]
     rng = rng or np.random.default_rng(0)
     for _ in range(spot_checks):
         w = rng.uniform(0, 1, size=S.m)

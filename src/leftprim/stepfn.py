@@ -35,15 +35,6 @@ def _is_exact(xs) -> bool:
     return all(isinstance(x, (Fraction, int)) for x in xs)
 
 
-def _float_exact(b) -> bool:
-    """Whether ``float(b) == b`` is certain, from b's integer ratio alone
-    (False may also mean "not shown": an even integer beyond 2**53)."""
-    if isinstance(b, float):
-        return True
-    n, d = b.numerator, b.denominator
-    return d & (d - 1) == 0 and d.bit_length() < 1000 and abs(n).bit_length() <= 53
-
-
 def _merge(a, b):
     """Merge two strictly increasing break lists with equal ends.
 
@@ -101,6 +92,36 @@ def _right_cells(points, breaks):
             j += 1
         out.append(j)
     return out
+
+
+def float_cells(breaks, ts, exact: bool):
+    """For the float points ``ts``, the cell index ``j`` (cell
+    ``(breaks[j], breaks[j+1]]``) among the increasing, exact or float
+    ``breaks``, as an integer array shaped like ``ts``: -1 at or below
+    ``breaks[0]``, ``len(breaks) - 1`` above ``breaks[-1]``.
+
+    Cells are found against ``float(b)``: j is the cell closing at the first
+    break with ``float(b) >= t``, the cell whose polynomial bounds a cell
+    ``(u, float(c)]`` cut at ``c``.  With ``exact`` the cell holding t is
+    returned instead, ``breaks[j] < t <= breaks[j+1]``, as ``__call__``
+    evaluates: under round-to-nearest ``t < float(b)`` implies ``t < b`` and
+    ``t > float(b)`` implies ``t > b``, so only a point ``t == float(b) != b``
+    is settled on the exact breaks.
+    """
+    import numpy as np
+
+    shape = np.shape(ts)
+    ts = np.asarray(ts, dtype=float).ravel()
+    fb = np.array([float(b) for b in breaks])
+    pos = np.searchsorted(fb, ts, side="left")
+    cells = pos - 1
+    if exact:
+        near = np.minimum(pos, len(fb) - 1)
+        for k in np.flatnonzero(fb[near] == ts):
+            t = float(ts[k])
+            if breaks[near[k]] != t:
+                cells[k] = bisect_left(breaks, t) - 1
+    return cells.reshape(shape)
 
 
 class StepFn:
@@ -469,32 +490,25 @@ class PiecewisePoly:
         return PiecewisePoly(pts, [self.coeffs[j] for j in cells], self.base_value)
 
     def sample_array(self, ts):
-        """Vectorised left-branch evaluation (float), cell for cell as
-        ``__call__``: cells are found against ``float(b)`` of the breaks, and
-        only a point equal to ``float(b) != b`` is settled on ``b`` itself."""
+        """Vectorised left-continuous evaluation (float), cell for cell as
+        ``__call__``."""
+        return self.eval_cells(ts, float_cells(self.breaks, ts, exact=True))
+
+    def eval_cells(self, ts, cells):
+        """Float value at each ``ts[k]`` of the polynomial on cell
+        ``cells[k]`` (a :func:`float_cells` index), the base value where the
+        index is -1."""
         import numpy as np
 
-        shape = np.shape(ts)
-        ts = np.asarray(ts, dtype=float).ravel()
-        breaks = np.array([float(b) for b in self.breaks])
-        pos = np.searchsorted(breaks, ts, side="left")
-        idx = pos - 1
-        base = ts <= breaks[0]
-        near = np.minimum(pos, len(breaks) - 1)
-        for k in np.flatnonzero(breaks[near] == ts):
-            if not _float_exact(self.breaks[near[k]]):
-                t = Fraction(float(ts[k]))
-                idx[k] = bisect_left(self.breaks, t, lo=1) - 1
-                base[k] = t <= self.lo
-        idx = np.clip(idx, 0, len(self.coeffs) - 1)
+        ts = np.asarray(ts, dtype=float)
+        idx = np.clip(cells, 0, len(self.coeffs) - 1)
         deg = max(len(c) for c in self.coeffs)
         cmat = np.array([[float(c[k]) if k < len(c) else 0.0
                           for k in range(deg)] for c in self.coeffs])
         acc = np.zeros_like(ts)
         for k in range(deg - 1, -1, -1):
             acc = acc * ts + cmat[idx, k]
-        acc[base] = float(self.base_value)
-        return acc.reshape(shape)
+        return np.where(cells < 0, float(self.base_value), acc)
 
     def zip_with(self, other, op):
         if self.lo != other.lo or self.hi != other.hi:

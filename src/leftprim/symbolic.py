@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quadrature import oscillatory_t_trig
+from .stepfn import float_cells
 
 SNAP = 1e-9
 
@@ -199,18 +200,19 @@ class _ExactLeaf(Expr):
 
 
 class StepLeaf(_ExactLeaf):
-    """A :class:`~leftprim.stepfn.StepFn`: constant between its breakpoints."""
+    """A :class:`~leftprim.stepfn.StepFn`: constant between its breakpoints.
+
+    The array forms of both exact leaves read a float ``t == float(b)`` on
+    the cell closing at the break b (the left branch, as ``SNAP`` does for
+    the other nodes), so a bound cell ``(u, float(b)]`` cut at b holds only
+    the values its bound covers, even where ``float(b) > b``."""
 
     def ev_array(self, ts):
-        ts = np.asarray(ts, dtype=float)
         sf = self.data
-        breaks = np.array([float(b) for b in sf.breaks])
+        cells = float_cells(sf.breaks, ts, exact=False)
         vals = np.array([float(v) for v in sf.values])
-        idx = np.clip(np.searchsorted(breaks, ts, side="left") - 1,
-                      0, len(vals) - 1)
-        out = vals[idx]
-        out[ts <= breaks[0]] = float(sf.base_value)
-        return out
+        return np.where(cells < 0, float(sf.base_value),
+                        vals[np.clip(cells, 0, len(vals) - 1)])
 
     def osc_bound_array(self, us, vs):
         return np.zeros(np.shape(us))  # cells are cut at every breakpoint
@@ -223,14 +225,25 @@ class PolyLeaf(_ExactLeaf):
     """A :class:`~leftprim.stepfn.PiecewisePoly`."""
 
     def ev_array(self, ts):
-        return self.data.sample_array(ts)
+        return self.data.eval_cells(ts, float_cells(self.data.breaks, ts,
+                                                    exact=False))
 
     def osc_bound_array(self, us, vs):
-        """Lipschitz bound of the cell's polynomial, |a_k| k max(|u|,|v|,1)^(k-1)."""
+        return self._lip_bound(us, vs, float_cells(self.data.breaks, vs,
+                                                   exact=False))
+
+    def sup_bound_array(self, us, vs):
+        """|p(vs)| + the oscillation bound, both on the cell closing at vs."""
+        cells = float_cells(self.data.breaks, vs, exact=False)
+        return (np.abs(self.data.eval_cells(vs, cells))
+                + self._lip_bound(us, vs, cells))
+
+    def _lip_bound(self, us, vs, cells):
+        """Lipschitz bound of the polynomial on ``cells`` over (us, vs],
+        |a_k| k max(|u|,|v|,1)^(k-1) (v - u)."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
         p = self.data
-        breaks = np.array([float(b) for b in p.breaks])
-        idx = np.clip(np.searchsorted(breaks, vs) - 1, 0, len(p.coeffs) - 1)
+        idx = np.clip(cells, 0, len(p.coeffs) - 1)
         deg = max(len(c) for c in p.coeffs)
         cmat = np.array([[abs(float(c[k])) if k < len(c) else 0.0
                           for k in range(deg)] for c in p.coeffs])
@@ -239,9 +252,6 @@ class PolyLeaf(_ExactLeaf):
         for k in range(1, deg):
             lip = lip + cmat[idx, k] * k * scale ** (k - 1)
         return lip * (vs - us)
-
-    def sup_bound_array(self, us, vs):
-        return np.abs(self.data.sample_array(vs)) + self.osc_bound_array(us, vs)
 
 
 class Const(Expr):

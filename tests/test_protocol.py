@@ -124,6 +124,28 @@ def test_step_plus_poly_lincomb_stays_exact():
         assert isinstance(got, Fraction) and got == want
 
 
+def test_exact_leaves_read_an_inexact_tie_on_the_closing_cell():
+    """At t = float(1/5) > 1/5 both exact leaves, and the poly leaf's
+    bounds, read the cell (0, 1/5] that a bound cell (0, float(1/5)] stands
+    for; only the polynomial's own sampler follows ``__call__`` there."""
+    s = StepFn([F(0), F(1, 5), F(1)], [F(100), F(0)])
+    p = s.as_poly()
+    P, S = RegulatedFn.from_poly(p), RegulatedFn.from_step(s)
+    t = np.array([float(F(1, 5))])
+    assert P.expr.ev_array(t)[0] == S.expr.ev_array(t)[0] == 100.0
+    assert P.expr.sup_bound(0, F(1, 5)) >= 100
+    assert P.expr.sup_bound(F(1, 5), 1) == 0.0
+    assert sym.Product(P.expr, sym.Const(2)).sup_bound(0, F(1, 5)) >= 200
+    assert p.sample_array(t)[0] == float(p(t[0])) == 0.0
+
+
+def test_poly_sup_norm_reads_the_value_at_an_inexact_break():
+    # 50 t on (0, 1/5] peaks at its closing break; 0 after it
+    q = RegulatedFn.from_poly(PiecewisePoly([F(0), F(1, 5), F(1)],
+                                            [(F(0), F(50)), (F(0),)]))
+    assert fs.norm(q, "sup") == 10.0
+
+
 def test_integrate_lincomb_uses_part_primitive(monkeypatch):
     G = B.osc_series_G(3)
     c = RegulatedFn.constant(F(1, 3), G.interval)

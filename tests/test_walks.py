@@ -13,7 +13,7 @@ from leftprim import gauge
 from leftprim.funcspace import RegulatedFn
 from leftprim.intervals import DomainError
 from leftprim.stepfn import (PiecewisePoly, StepFn, _poly_add, _poly_mul,
-                             random_stepfn)
+                             float_cells, random_stepfn)
 
 F = Fraction
 
@@ -171,6 +171,38 @@ def test_poly_zip_with_matches_bisect_reference():
             r = p.zip_with(q, op)
             assert (r.breaks, r.coeffs) == ref_poly_zip(p, q, op)
         assert p.refined(q.breaks).coeffs == ref_poly_zip(p, q, lambda a, b: a)[1]
+
+
+# -- float points among exact breaks -------------------------------------------
+
+
+def ref_cell(breaks, t, exact):
+    """Bisect the float t into the exact breaks, or into their floats."""
+    keys = breaks if exact else [float(b) for b in breaks]
+    return bisect_left(keys, t) - 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_float_cells_match_bisect_reference(exact):
+    rng = np.random.default_rng(5)
+    breaks = sorted({F(0), F(1)}.union(
+        F(int(rng.integers(1, 60)), int(rng.integers(61, 90))) for _ in range(40)))
+    fb = [float(b) for b in breaks]
+    pts = (fb + [math.nextafter(x, 2) for x in fb]
+           + [math.nextafter(x, -1) for x in fb] + list(rng.uniform(-0.1, 1.1, 54)))
+    ts = np.array(pts[:len(pts) // 4 * 4]).reshape(-1, 4)
+    got = float_cells(breaks, ts, exact=exact)
+    assert got.shape == ts.shape
+    assert got.tolist() == [[ref_cell(breaks, t, exact) for t in row]
+                            for row in ts.tolist()]
+
+
+def test_float_cells_readings_differ_only_above_inexact_breaks():
+    breaks = [F(0), F(1, 5), F(1, 3), F(1, 2), F(1)]
+    ts = np.array([float(b) for b in breaks])  # float(1/5) > 1/5, float(1/3) < 1/3
+    assert float_cells(breaks, ts, exact=False).tolist() == [-1, 0, 1, 2, 3]
+    assert float_cells(breaks, ts, exact=True).tolist() == [-1, 1, 1, 2, 3]
+    assert float_cells(breaks, ts[1], exact=True) == 1  # a 0-d point
 
 
 # -- Stieltjes right-limit walk -------------------------------------------------
