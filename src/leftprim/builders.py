@@ -1,4 +1,4 @@
-"""Catalog of named example functions and systems.
+"""Catalog of named example functions.
 
 Builder identifiers are the catalog codes used by the config format and the
 ``example`` CLI subcommand.  Each series builder takes an explicit truncation
@@ -14,7 +14,8 @@ from fractions import Fraction
 from . import symbolic as sym
 from .funcspace import RegulatedFn
 from .intervals import Interval
-from .stepfn import StepFn
+from .quadrature import EstimationError
+from .stepfn import StepDataError, StepFn
 
 
 def _iv(lo, hi):
@@ -151,7 +152,8 @@ class AlternatingIndicatorTail:
     """
 
     def __init__(self, n: int):
-        assert n >= 1  # F_1 is the empty partial sum
+        if n < 1:  # F_1 is the empty partial sum
+            raise ValueError(f"tail index must be >= 1, got {n}")
         self.n = n
 
     def partial(self, upto: int) -> StepFn:
@@ -191,8 +193,8 @@ class AlternatingIndicatorTail:
         cells = t.to_cells()
         inner = [c for c in cells if abs(c[2]) == 1]
         for (x1, y1, v1), (x2, y2, v2) in zip(inner, inner[1:]):
-            assert y1 == x2, "tail cells must tile contiguously"
-            assert abs(v1) == abs(v2) == 1
+            if y1 != x2 or not abs(v1) == abs(v2) == 1:
+                raise StepDataError("tail cells must tile contiguously with |value| 1")
         return StepFn.indicator(Fraction(-1, self.n + 1), Fraction(0),
                                 domain_lo=Fraction(-1))
 
@@ -205,7 +207,8 @@ class AlternatingIndicatorTail:
         """
         a1 = self.tail_truncation(48).alexiewicz_norm()
         a2 = self.tail_truncation(96).alexiewicz_norm()
-        assert a1 == a2, "extrema must be attained in the early cells"
+        if a1 != a2:
+            raise EstimationError("extrema must be attained in the early cells")
         return a1
 
     def l1_exact(self) -> Fraction:
@@ -240,22 +243,3 @@ def build_function(name: str, **params) -> RegulatedFn:
         raise KeyError(f"unknown builder {name!r}; known: {sorted(BUILDERS)}")
     return BUILDERS[name](**params)
 
-
-def build_example(name: str, **params):
-    """Unified catalog entry point: functions, systems, or majorant operators.
-
-    Function names come from :data:`BUILDERS`; system names are ``ex31``,
-    ``ex01`` (takes ``H`` as an array callable, default t^2, plus ``T`` and
-    ``per_unit``), and ``ex01_majorant``.
-    """
-    from . import systems as SY
-
-    if name == "ex31":
-        return SY.ex31_system(**params)
-    if name == "ex01":
-        import numpy as np
-        H = params.pop("H", lambda ts: np.asarray(ts, dtype=float) ** 2)
-        return SY.ex01_system(H, **params)
-    if name == "ex01_majorant":
-        return SY.ex01_majorant(**params)
-    return build_function(name, **params)

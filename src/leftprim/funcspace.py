@@ -60,7 +60,7 @@ class RegulatedFn:
 
     @classmethod
     def from_poly(cls, poly: PiecewisePoly, name: str = "") -> "RegulatedFn":
-        return cls(sym.PolyLeaf(poly), Interval(poly.lo, poly.hi), name)
+        return cls(sym.PolyLeaf(poly), poly.interval, name)
 
     @classmethod
     def from_expr(cls, expr: sym.Expr, interval: Interval, name: str = "",
@@ -96,9 +96,6 @@ class RegulatedFn:
     def constant(cls, value, interval: Interval, name: str = "") -> "RegulatedFn":
         return cls.from_step(StepFn.constant(interval.lo, interval.hi,
                                              Fraction(value)), name)
-
-    def with_primitive(self, primitive: "RegulatedFn") -> "RegulatedFn":
-        return RegulatedFn(self.expr, self.interval, self.name, primitive)
 
     def __repr__(self):
         label = self.name or self.kind

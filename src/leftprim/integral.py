@@ -116,12 +116,9 @@ def cumulative(f: Distribution, a, c) -> RegulatedFn:
     F = f.primitive
     if not F.interval.contains(a):
         raise DomainError(f"{a} outside {F.interval}")
-    if F.kind == "step":
-        shift = c - F.payload(a)
-        return RegulatedFn.from_step(F.payload + shift)
-    if F.kind == "poly":
-        shift = c - F.payload(a)
-        return RegulatedFn.from_poly(F.payload + shift)
+    if F.kind in ("step", "poly"):  # shift the exact data, keep its leaf type
+        data = F.payload + (c - F.payload(a))
+        return RegulatedFn(type(F.expr)(data), data.interval)
     shift = c - F.value(a)
     return F + RegulatedFn.constant(shift, F.interval)
 

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .intervals import DomainError
+
 # 15-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_X2, _GL_W2 = np.polynomial.legendre.leggauss(30)
@@ -87,7 +89,8 @@ def oscillatory_reciprocal(trig, power, lower, tol=1e-12, max_pieces=2_000_000):
     truncation is bounded by the magnitude of the first omitted piece.
     Returns ``(value, certified_bound)``.
     """
-    assert power > 1, "needs decay to converge"
+    if not power > 1:
+        raise ValueError(f"power {power} needs to exceed 1 for decay")
     if trig == "sin":
         fn = np.sin
         first_zero_index = math.ceil(lower / math.pi)
@@ -124,7 +127,8 @@ def oscillatory_t_trig(trig, a, b, tol=1e-12):
 
     Uses ``u = 1/t``:  ``int t*trig(1/t) dt = int_{1/b}^{1/a} trig(u)/u**3 du``.
     """
-    assert 0 <= a < b
+    if not 0 <= a < b:
+        raise DomainError(f"need 0 <= a < b, got a={a}, b={b}")
     tail_b, err_b = oscillatory_reciprocal(trig, 3, 1.0 / b, tol=tol)
     if a == 0:
         return tail_b, err_b

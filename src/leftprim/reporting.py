@@ -19,7 +19,7 @@ import yaml
 
 from .funcspace import RegulatedFn
 from .solver import IterationTrace
-from .stepfn import StepFn
+from .stepfn import StepDataError, StepFn
 
 
 @dataclass
@@ -107,7 +107,8 @@ def stepfn_from_doc(doc: dict) -> StepFn:
     cells = [(parse_frac(c["x"]), parse_frac(c["y"]), parse_frac(c["v"]))
              for c in doc["cells"]]
     f = StepFn.from_cells(cells, parse_frac(doc["base_value"]))
-    assert f.breaks[0] == parse_frac(doc["base_point"])
+    if f.breaks[0] != parse_frac(doc["base_point"]):
+        raise StepDataError("base_point differs from the first cell's start")
     return f
 
 
@@ -164,16 +165,18 @@ def export_trace_csv(trace: IterationTrace, grid, out, thin: int = 1):
 def export(obj, path, format: str = "csv", grid=None, thin: int = 1):
     """Dispatching exporter for functions, traces, and reports."""
     if format == "report":
-        assert isinstance(obj, RunReport)
+        if not isinstance(obj, RunReport):
+            raise TypeError("format='report' exports a RunReport")
         text = obj.to_text()
         with open(path, "w") as fh:
             fh.write(text)
         return path
     if isinstance(obj, RunReport):
         raise ValueError("reports export with format='report'")
+    if isinstance(obj, IterationTrace) and grid is None:
+        raise ValueError("trace export needs the grid")  # before truncating path
     with open(path, "w", newline="") as fh:
         if isinstance(obj, IterationTrace):
-            assert grid is not None, "trace export needs the grid"
             export_trace_csv(obj, grid, fh, thin)
         elif isinstance(obj, RegulatedFn):
             export_function_csv(obj, fh, grid or 256)

@@ -6,7 +6,15 @@ covering ``(b[0], b[-1]]``, plus a separate value at the base point ``b[0]``.
 The representation is left-continuous by construction.  When every breakpoint
 and value is a :class:`fractions.Fraction` all operations here are exact;
 float-valued instances arise as step approximations of symbolic functions and
-make no exactness claims.
+make no exactness claims.  A :class:`PiecewisePoly` holds a polynomial per
+cell instead; primitives of step data live there.
+
+The base ``_Cells`` owns the rules both share: break validation, ``lo`` /
+``hi`` / ``interval``, evaluation and one-sided limits with their domain
+checks, ``right_limits``, ``jump_points`` and ``integral``, through two cell
+hooks each class supplies, ``_at(i, t)`` and ``_cell_integral(i, l, r)``.
+Arithmetic, ``refined``, ``cumulative`` and ``variation`` stay per class, as
+do ``StepFn``'s ``restrict``, lattice and norms, whose loops read ``values``.
 
 Costs in comparisons, for operands of n and m cells: evaluation and the
 one-sided limits at a point take O(log n); ``+``, ``-``, ``*``, ``join``,
@@ -124,25 +132,97 @@ def float_cells(breaks, ts, exact: bool):
     return cells.reshape(shape)
 
 
-class StepFn:
+class _Cells:
+    """Left-open cells ``(breaks[i], breaks[i+1]]`` over strictly increasing
+    ``breaks``, read through ``_at`` and ``_cell_integral``."""
+
+    __slots__ = ("breaks", "base_value", "exact")
+
+    def _set_breaks(self, breaks, ncells):
+        breaks = list(breaks)
+        if len(breaks) != ncells + 1:
+            raise StepDataError("need one more breakpoint than cells")
+        if not all(breaks[i] < breaks[i + 1] for i in range(ncells)):
+            raise StepDataError("breakpoints must be strictly increasing")
+        self.breaks = breaks
+
+    @property
+    def lo(self):
+        return self.breaks[0]
+
+    @property
+    def hi(self):
+        return self.breaks[-1]
+
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.lo, self.hi)
+
+    def __call__(self, t):
+        if t < self.lo or t > self.hi:
+            raise DomainError(f"{t} outside [{self.lo}, {self.hi}]")
+        if t == self.lo:
+            return self.base_value
+        return self._at(bisect_left(self.breaks, t, lo=1) - 1, t)
+
+    def left_limit(self, t):
+        if t <= self.lo or t > self.hi:
+            raise DomainError(f"no left limit at {t}")
+        return self._at(bisect_left(self.breaks, t, lo=1) - 1, t)
+
+    def right_limit(self, t):
+        if t < self.lo or t >= self.hi:
+            raise DomainError(f"no right limit at {t}")
+        # at a breakpoint b_j the next cell (b_j, b_{j+1}] carries the limit
+        return self._at(bisect_right(self.breaks, t) - 1, t)
+
+    def right_limits(self, ts):
+        """Right limits at the ascending points ``ts`` of [lo, hi)."""
+        return [self._at(j, t) for j, t in zip(_right_cells(ts, self.breaks), ts)]
+
+    def jump_points(self):
+        """Points where the function jumps: breaks whose left and right
+        limits differ, and the base point when its value differs from the
+        right limit there."""
+        out, prev = [], self.base_value
+        for i in range(len(self.breaks) - 1):
+            b = self.breaks[i]
+            if self._at(i, b) != prev:
+                out.append(b)
+            prev = self._at(i, self.breaks[i + 1])
+        return out
+
+    def integral(self, a=None, b=None):
+        """Exact integral over [a, b] (defaults: whole domain)."""
+        a = self.lo if a is None else a
+        b = self.hi if b is None else b
+        sign = 1
+        if a > b:
+            a, b, sign = b, a, -1
+        if a < self.lo or b > self.hi:
+            raise DomainError("integration limits outside domain")
+        total = 0
+        for i in range(len(self.breaks) - 1):
+            l, r = max(self.breaks[i], a), min(self.breaks[i + 1], b)
+            if r > l:
+                total += self._cell_integral(i, l, r)
+        return sign * total
+
+
+class StepFn(_Cells):
     """Piecewise-constant, left-continuous function on ``[b0, bk]``."""
 
-    __slots__ = ("breaks", "values", "base_value", "exact")
+    __slots__ = ("values",)
 
     def __init__(self, breaks, values, base_value=None):
-        breaks = list(breaks)
         values = list(values)
-        if len(breaks) != len(values) + 1:
-            raise StepDataError("need one more breakpoint than cells")
-        if not all(breaks[i] < breaks[i + 1] for i in range(len(values))):
-            raise StepDataError("breakpoints must be strictly increasing")
+        self._set_breaks(breaks, len(values))
         if base_value is None:
             # D^lc convention: right-continuous at the minimum
             base_value = values[0]
-        self.breaks = breaks
         self.values = values
         self.base_value = base_value
-        self.exact = _is_exact(breaks) and _is_exact(values) and _is_exact([base_value])
+        self.exact = _is_exact(self.breaks) and _is_exact(values) and _is_exact([base_value])
 
     # -- construction helpers -------------------------------------------------
 
@@ -164,18 +244,6 @@ class StepFn:
     def constant(cls, lo, hi, value):
         return cls([Fraction(lo), Fraction(hi)], [Fraction(value)])
 
-    @property
-    def lo(self):
-        return self.breaks[0]
-
-    @property
-    def hi(self):
-        return self.breaks[-1]
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
     def __repr__(self):
         cells = ", ".join(
             f"({self.breaks[i]},{self.breaks[i+1]}]->{self.values[i]}"
@@ -184,37 +252,11 @@ class StepFn:
         more = "..." if len(self.values) > 4 else ""
         return f"StepFn[{self.base_value}@{self.lo}; {cells}{more}]"
 
-    # -- evaluation ------------------------------------------------------------
-
-    def __call__(self, t):
-        if t < self.lo or t > self.hi:
-            raise DomainError(f"{t} outside [{self.lo}, {self.hi}]")
-        if t == self.lo:
-            return self.base_value
-        i = bisect_left(self.breaks, t, lo=1) - 1
+    def _at(self, i, t):
         return self.values[i]
 
-    def left_limit(self, t):
-        if t <= self.lo or t > self.hi:
-            raise DomainError(f"no left limit at {t}")
-        i = bisect_left(self.breaks, t, lo=1) - 1
-        return self.values[i]
-
-    def right_limit(self, t):
-        if t < self.lo or t >= self.hi:
-            raise DomainError(f"no right limit at {t}")
-        j = bisect_left(self.breaks, t)
-        if self.breaks[j] == t:
-            # t is a breakpoint; the next cell (b_j, b_{j+1}] carries the limit
-            return self.values[j]
-        return self.values[j - 1]
-
-    def right_limits(self, ts):
-        """Right limits at the ascending points ``ts`` of [lo, hi)."""
-        return [self.values[j] for j in _right_cells(ts, self.breaks)]
-
-    def sample(self, ts):
-        return [self(t) for t in ts]
+    def _cell_integral(self, i, l, r):
+        return self.values[i] * (r - l)
 
     # -- structural operations --------------------------------------------------
 
@@ -320,16 +362,6 @@ class StepFn:
 
     # -- jumps / variation -------------------------------------------------------
 
-    def jump_points(self):
-        """Breakpoints where the function actually jumps (from the right)."""
-        out = []
-        prev = self.base_value
-        for i, v in enumerate(self.values):
-            if v != prev:
-                out.append(self.breaks[i])
-            prev = v
-        return out
-
     def variation(self):
         """Total variation on [lo, hi]."""
         v = abs(self.values[0] - self.base_value)
@@ -338,23 +370,6 @@ class StepFn:
         return v
 
     # -- integration and norms ----------------------------------------------------
-
-    def integral(self, a=None, b=None):
-        """Exact integral over [a, b] (defaults: whole domain)."""
-        a = self.lo if a is None else a
-        b = self.hi if b is None else b
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        if a < self.lo or b > self.hi:
-            raise DomainError("integration limits outside domain")
-        total = 0
-        for i, v in enumerate(self.values):
-            l, r = self.breaks[i], self.breaks[i + 1]
-            lo, hi = max(l, a), min(r, b)
-            if hi > lo:
-                total += v * (hi - lo)
-        return sign * total
 
     def cumulative(self):
         """Exact running integral x -> int_lo^x, as a PiecewisePoly."""
@@ -421,7 +436,7 @@ class StepFn:
         return cls(breaks, values, base_value)
 
 
-class PiecewisePoly:
+class PiecewisePoly(_Cells):
     """Left-continuous piecewise polynomial on left-open cells.
 
     ``coeffs[i]`` holds the coefficient tuple (ascending powers) in force on
@@ -429,17 +444,15 @@ class PiecewisePoly:
     and their iterated primitives live here.
     """
 
-    __slots__ = ("breaks", "coeffs", "base_value", "exact")
+    __slots__ = ("coeffs",)
 
     def __init__(self, breaks, coeffs, base_value=None):
-        if len(breaks) != len(coeffs) + 1:
-            raise StepDataError("need one more breakpoint than cells")
-        self.breaks = list(breaks)
         self.coeffs = [tuple(c) for c in coeffs]
+        self._set_breaks(breaks, len(self.coeffs))
         if base_value is None:
             base_value = self._horner(self.coeffs[0], self.breaks[0])
         self.base_value = base_value
-        self.exact = (_is_exact(breaks) and _is_exact([base_value])
+        self.exact = (_is_exact(self.breaks) and _is_exact([base_value])
                       and all(_is_exact(c) for c in self.coeffs))
 
     @staticmethod
@@ -449,41 +462,12 @@ class PiecewisePoly:
             acc = acc * x + a
         return acc
 
-    @property
-    def lo(self):
-        return self.breaks[0]
-
-    @property
-    def hi(self):
-        return self.breaks[-1]
-
-    def __call__(self, t):
-        if t < self.lo or t > self.hi:
-            raise DomainError(f"{t} outside [{self.lo}, {self.hi}]")
-        if t == self.lo:
-            return self.base_value
-        i = bisect_left(self.breaks, t, lo=1) - 1
+    def _at(self, i, t):
         return self._horner(self.coeffs[i], t)
 
-    def left_limit(self, t):
-        if t <= self.lo or t > self.hi:
-            raise DomainError(f"no left limit at {t}")
-        i = bisect_left(self.breaks, t, lo=1) - 1
-        return self._horner(self.coeffs[i], t)
-
-    def right_limit(self, t):
-        if t < self.lo or t >= self.hi:
-            raise DomainError(f"no right limit at {t}")
-        j = bisect_left(self.breaks, t)
-        if j < len(self.breaks) and self.breaks[j] == t:
-            return self._horner(self.coeffs[j], t) if j < len(self.coeffs) \
-                else self._horner(self.coeffs[-1], t)
-        return self._horner(self.coeffs[j - 1], t)
-
-    def right_limits(self, ts):
-        """Right limits at the ascending points ``ts`` of [lo, hi)."""
-        return [self._horner(self.coeffs[j], t)
-                for j, t in zip(_right_cells(ts, self.breaks), ts)]
+    def _cell_integral(self, i, l, r):
+        anti = _poly_antiderivative(self.coeffs[i])
+        return self._horner(anti, r) - self._horner(anti, l)
 
     def refined(self, extra):
         pts, cells = _refine(self.breaks, extra)
@@ -514,9 +498,8 @@ class PiecewisePoly:
         if self.lo != other.lo or self.hi != other.hi:
             raise DomainError("piecewise polynomials on different intervals")
         pts = _merge(self.breaks, other.breaks)[0]
-        a = self.refined(pts)
-        b = other.refined(pts)
-        coeffs = [op(ca, cb) for ca, cb in zip(a.coeffs, b.coeffs)]
+        coeffs = [op(ca, cb) for ca, cb in zip(self.refined(pts).coeffs,
+                                               other.refined(pts).coeffs)]
         return PiecewisePoly(pts, coeffs, op_scalar(op, self.base_value, other.base_value))
 
     def __add__(self, other):
@@ -538,20 +521,6 @@ class PiecewisePoly:
             return self.zip_with(other, _poly_mul)
         return self.__rmul__(other)
 
-    def integral(self, a=None, b=None):
-        a = self.lo if a is None else a
-        b = self.hi if b is None else b
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        total = 0
-        for i, c in enumerate(self.coeffs):
-            l, r = max(self.breaks[i], a), min(self.breaks[i + 1], b)
-            if r > l:
-                anti = _poly_antiderivative(c)
-                total += self._horner(anti, r) - self._horner(anti, l)
-        return sign * total
-
     def cumulative(self):
         coeffs = []
         acc = Fraction(0) if self.exact else 0.0
@@ -562,19 +531,6 @@ class PiecewisePoly:
             acc = acc + self._horner(anti, self.breaks[i + 1]) - self._horner(anti, self.breaks[i])
         return PiecewisePoly(list(self.breaks), coeffs,
                              base_value=Fraction(0) if self.exact else 0.0)
-
-    def jump_points(self):
-        """Points where the function jumps: breaks whose left and right
-        limits differ, and the base point when its value differs from the
-        right limit there."""
-        out = []
-        prev = self.base_value
-        for i, c in enumerate(self.coeffs):
-            b = self.breaks[i]
-            if self._horner(c, b) != prev:
-                out.append(b)
-            prev = self._horner(c, self.breaks[i + 1])
-        return out
 
     def variation(self):
         """Exact total variation for cells of degree <= 2."""

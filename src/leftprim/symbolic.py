@@ -122,9 +122,6 @@ class Expr:
         except SecondKindLimit:
             return self.ev(t, 0)
 
-    def ev_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.ev(float(t), 0) for t in ts])
-
     def jumps(self, lo, hi):
         """Exact discontinuity points in [lo, hi]."""
         return []
@@ -275,7 +272,8 @@ class Monomial(Expr):
     """t**k for integer k >= 0."""
 
     def __init__(self, k=1):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"monomial power must be >= 0, got {k}")
         self.k = k
 
     def ev(self, t, side=0):
@@ -579,7 +577,8 @@ class Shape(Expr):
     """t (1 + sign*trig(1/t)) for t > 0, 0 at t = 0; continuous, nonnegative."""
 
     def __init__(self, trig, sign):
-        assert trig in ("sin", "cos")
+        if trig not in ("sin", "cos"):
+            raise ValueError(f"unsupported trig factor {trig!r}")
         self.trig = trig
         self.sign = sign
         self._f = math.sin if trig == "sin" else math.cos
@@ -621,7 +620,8 @@ class GFactor(Expr):
     """
 
     def __init__(self, kind):
-        assert kind in ("A", "B")
+        if kind not in ("A", "B"):
+            raise ValueError(f"unknown GFactor kind {kind!r}")
         self.kind = kind
 
     def primitive_shape(self) -> Shape:
@@ -860,7 +860,8 @@ class SmoothWrap(_Composite):
             "arctan": (math.atan, np.arctan), "tanh": (math.tanh, np.tanh)}
 
     def __init__(self, fn: str, inner):
-        assert fn in self._FNS
+        if fn not in self._FNS:
+            raise ValueError(f"unknown smooth wrapper {fn!r}")
         super().__init__(inner)
         self.fn = fn
         self.inner = inner

@@ -1,6 +1,7 @@
 """Typed invariant errors that survive ``python -O``, hashing consistent with
 equality, and the jumps of exact piecewise polynomials."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -151,3 +152,76 @@ def test_solve_path_errors_raise_under_optimize(flags):
                          check=True)
     assert out.stdout.split() == ["DomainError", "ValueError", "ValueError",
                                   "ValueError", "MultiplierError"]
+
+
+DATA_ERRORS = """\
+import sys
+from leftprim import symbolic as sym
+from leftprim.builders import AlternatingIndicatorTail
+from leftprim.intervals import DomainError
+from leftprim.quadrature import oscillatory_reciprocal, oscillatory_t_trig
+from leftprim.reporting import export, load_config, stepfn_from_doc
+from leftprim.solver import IterationTrace
+from leftprim.stepfn import PiecewisePoly, StepDataError
+
+path = sys.argv[1]
+with open(path + ".yaml", "w") as fh:  # base_point is not the first cell's x
+    fh.write("stepfn:\\n  base_point: '1'\\n  base_value: '0'\\n"
+             "  cells:\\n  - {x: '0', y: '1', v: '2'}\\n")
+cases = [
+    (StepDataError, lambda: PiecewisePoly([0, 1, 1], [(1,), (2,)])),
+    (StepDataError, lambda: PiecewisePoly([1, 0], [(1,)])),
+    (DomainError, lambda: PiecewisePoly([0, 1], [(0, 1)]).integral(-1, 2)),
+    (StepDataError, lambda: stepfn_from_doc(load_config(path + ".yaml")["stepfn"])),
+    (ValueError, lambda: sym.Monomial(-1)),
+    (ValueError, lambda: sym.Shape("tan", 1)),
+    (ValueError, lambda: sym.GFactor("C")),
+    (ValueError, lambda: sym.SmoothWrap("exp", sym.Const(1))),
+    (ValueError, lambda: oscillatory_reciprocal("sin", 1, 1.0)),
+    (DomainError, lambda: oscillatory_t_trig("sin", 1.0, 0.5)),
+    (TypeError, lambda: export(IterationTrace("up"), path + ".txt", "report")),
+    (ValueError, lambda: export(IterationTrace("up"), path + ".csv")),
+    (ValueError, lambda: AlternatingIndicatorTail(0)),
+]
+for error, make in cases:
+    try:
+        make()
+    except error as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_data_errors_raise_under_optimize(flags, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, *flags, "-c", DATA_ERRORS,
+                          str(tmp_path / "doc")], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == [
+        "StepDataError", "StepDataError", "DomainError", "StepDataError",
+        "ValueError", "ValueError", "ValueError", "ValueError", "ValueError",
+        "DomainError", "TypeError", "ValueError", "ValueError"]
+    assert not (tmp_path / "doc.csv").exists()  # refused before opening it
+
+
+def _asserts(node, where=None):
+    """The enclosing function name of every ``assert`` below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Assert):
+            yield where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _asserts(child, inner)
+
+
+def test_no_asserts_in_package():
+    """Invariants raise typed errors, so ``python -O`` keeps them; the one
+    ``assert`` left is ``integral.parts``' bound check, which the benchmark
+    counts as a known failure kind."""
+    src = os.path.join(ROOT, "src", "leftprim")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [(name, where) for where in _asserts(tree)]
+    assert found == [("integral.py", "parts")]

@@ -252,6 +252,55 @@ def test_stieltjes_float_step_against_cellwise_reference():
         gauge.stieltjes(RegulatedFn.from_step(StepFn([-1.0, 1.0], [1.0])), g, -1.0, 1.0)
 
 
+# -- the shared cell core: step data against its degree-0 polynomial view -----
+
+
+def ref_integral(f, a, b):
+    sign = -1 if a > b else 1
+    a, b = min(a, b), max(a, b)
+    return sign * sum((v * (min(r, b) - max(l, a)) for l, r, v in f.to_cells()
+                       if min(r, b) > max(l, a)), F(0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_and_poly_share_the_cell_core(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(30):
+        f = random_stepfn(rng, max_cells=10) if k % 2 else grid_step(rng, 7, 6)
+        p = f.as_poly()
+        mids = [(l + r) / 2 for l, r in zip(f.breaks, f.breaks[1:])]
+        ts = sorted(set(f.breaks).union(mids))  # breaks, inside cells, both ends
+        for t in ts:
+            assert f(t) == p(t) == ref_value(f, t)
+            assert type(p(t)) is Fraction
+            if t > f.lo:
+                left = f.values[bisect_left(f.breaks, t, lo=1) - 1]
+                assert f.left_limit(t) == p.left_limit(t) == left
+            if t < f.hi:
+                assert f.right_limit(t) == p.right_limit(t) == ref_g_right(f, t)
+        inner = ts[:-1]
+        assert f.right_limits(inner) == p.right_limits(inner) == \
+            [ref_g_right(f, t) for t in inner]
+        jumps = [b for b in f.breaks[:-1] if ref_g_right(f, b) != f(b)]
+        assert f.jump_points() == p.jump_points() == jumps
+        for a, b in ((f.lo, f.hi), (f.hi, f.lo), (ts[1], ts[-2]),
+                     (ts[-2], ts[1]), (mids[0], mids[-1]), (ts[2], ts[2])):
+            x, y = f.integral(a, b), p.integral(a, b)
+            assert x == y == ref_integral(f, a, b) and type(x) is type(y)
+        assert f.integral() == p.integral() == ref_integral(f, f.lo, f.hi)
+        for bad in (f.lo - 1, f.hi + 1):
+            for g in (f, p):
+                with pytest.raises(DomainError):
+                    g(bad)
+                with pytest.raises(DomainError):  # forward, then reversed
+                    g.integral(bad, f.hi if bad < f.lo else f.lo)
+        for g in (f, p):
+            with pytest.raises(DomainError):
+                g.left_limit(f.lo)
+            with pytest.raises(DomainError):
+                g.right_limit(f.hi)
+
+
 # -- comparison-count guards ----------------------------------------------------
 
 
