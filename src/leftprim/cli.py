@@ -191,13 +191,13 @@ def cmd_solve(args):
             max_steps=int(cfg.get("max_steps", 300)))
         rep = RunReport("solve:random_monotone")
         rep.parameters = dict(cfg)
-        from .solver import as_grid, residual
+        from .solver import as_grid
         rep.outputs = {
             "smallest_at_T": [float(as_grid(y, S.grid)[-1]) for y in y_lo],
             "greatest_at_T": [float(as_grid(y, S.grid)[-1]) for y in y_hi],
         }
-        rep.residuals = {"smallest": residual(S, y_lo),
-                         "greatest": residual(S, y_hi)}
+        rep.residuals = {"smallest": tr_up.residual,
+                         "greatest": tr_dn.residual}
         rep.stabilization = {"up": tr_up.stabilization_index,
                              "down": tr_dn.stabilization_index}
         if args.format == "csv":

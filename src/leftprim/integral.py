@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import funcspace as fs
-from .funcspace import RegulatedFn, classify, integrate_regulated
+from .funcspace import RegulatedFn, integrate_regulated
 from .intervals import DomainError, Interval
 from .quadrature import integrate_piecewise
 from .stepfn import PiecewisePoly, StepFn
@@ -47,23 +47,6 @@ class Distribution:
     @property
     def interval(self) -> Interval:
         return self.primitive.interval
-
-    @classmethod
-    def from_primitive(cls, F: RegulatedFn, space_tag: str = None) -> "Distribution":
-        if space_tag is None:
-            c = classify(F)
-            space_tag = "LR" if c.locally_riemann else (
-                "LL" if c.locally_lebesgue else "LD")
-        return cls(F, space_tag)
-
-    def normalize(self) -> "Distribution":
-        """Anchor the primitive: subtract its right limit at inf I."""
-        F = self.primitive
-        base = F.value(F.interval.lo)
-        if base == 0:
-            return Distribution(F, self.space_tag, True)
-        shifted = F - RegulatedFn.constant(base, F.interval)
-        return Distribution(shifted, self.space_tag, True)
 
 
 def primitive_integral(f: Distribution, a, b, endpoint_mode: str = "closed_open"):
@@ -216,13 +199,6 @@ class TestFn:
         if abs(s) >= 1.0:
             return 0.0
         return math.exp(1.0 - 1.0 / (1.0 - s * s))
-
-    def deriv(self, t):
-        s = (float(t) - self.center) / self.radius
-        if abs(s) >= 1.0:
-            return 0.0
-        w = 1.0 - s * s
-        return math.exp(1.0 - 1.0 / w) * (-2.0 * s / (w * w)) / self.radius
 
     def deriv_array(self, ts):
         ts = np.asarray(ts, dtype=float)

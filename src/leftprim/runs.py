@@ -59,8 +59,8 @@ def run_ex31(quad_tol: float = 1e-10, per_unit: int = 4096,
             "by integrals over [0, 1] alone, so the displayed solutions "
             "extend to the unbounded domain with the same coefficients"),
     }
-    report.residuals = {"smallest": residual(S, y_lo),
-                        "greatest": residual(S, y_hi),
+    report.residuals = {"smallest": tr_up.residual,
+                        "greatest": tr_dn.residual,
                         "tag": "grid sup-norm"}
     report.stabilization = {
         "scalar_up": up_stab, "scalar_down": dn_stab,

@@ -16,6 +16,11 @@ followed by a left-continuity closure at the system's declared branch
 points.  The closure re-defines the value at points where the operator's
 pointwise action is the identity, by quadratic extrapolation from the left
 -- the grid surrogate of redefining a limit function to be left continuous.
+
+Every chain (up/down, envelope, bracket) runs through one loop,
+:func:`_monotone_chain`: it owns the step budget, the order check, the trace,
+the omega-stage count and the stabilization fields; each chain supplies a
+step (next iterate and grid samples), a stop rule and its omega closure.
 """
 
 from __future__ import annotations
@@ -95,6 +100,13 @@ def as_grid(fn, grid) -> np.ndarray:
     return np.asarray(fn.sample(grid), dtype=float)
 
 
+def _check_order(below, above, grid, message, eps=1e-9, error=OrderBoundError):
+    """Raise ``error(message)`` unless below <= above + eps; NaN fails."""
+    for a, b in zip(below, above):
+        if not np.all(as_grid(a, grid) <= as_grid(b, grid) + eps):
+            raise error(message)
+
+
 def make_grid(a, b, per_unit: int = 4096, include=()) -> np.ndarray:
     """Uniform grid with mandatory inclusion of declared discontinuities."""
     a, b = float(a), float(b)
@@ -152,12 +164,9 @@ class CauchySystem:
             w2 = rng.uniform(w1, 1)
             x = [GridFn(g, (1 - w1) * a + w1 * b) for a, b in zip(lo, hi)]
             y = [GridFn(g, (1 - w2) * a + w2 * b) for a, b in zip(lo, hi)]
-            fx = apply_operator(self, x)
-            fy = apply_operator(self, y)
-            for a, b in zip(fx, fy):
-                if np.any(as_grid(a, g) > as_grid(b, g) + eps):
-                    raise MonotonicityError(
-                        "declared-monotone operator fails an order spot check")
+            _check_order(apply_operator(self, x), apply_operator(self, y), g,
+                         "declared-monotone operator fails an order spot check",
+                         eps, MonotonicityError)
 
 
 def apply_operator(S: CauchySystem, x: list) -> list:
@@ -234,17 +243,56 @@ class IterationTrace:
     stabilized: bool = False
     stabilization_index: int = None
     omega_stages: int = 0
-    residual: float = None
+    residual: float = None   # grid sup-norm of F(x) - x at the returned x
 
     def add(self, label, samples):
         self.labels.append(label)
         self.stages.append([np.array(s) for s in samples])
 
 
-def _tags(x):
-    if all(isinstance(f, TaggedFn) for f in x):
-        return tuple(f.tag for f in x)
-    return None
+_SETTLED, _REACHED, _STALLED = "settled", "reached", "stalled"
+
+
+def _monotone_chain(direction, x, xs, step, stop, close, max_steps,
+                    max_omega_stages, mono_eps, record_every, order_error):
+    """The one monotone-chain loop, from ``x`` with grid samples ``xs``.
+
+    ``step(x, xs)`` gives the next iterate and samples, ``close(xs)`` the
+    omega-stage ones.  ``stop(x, x_new, new, diff)``, with ``diff`` the sup
+    distance of the samples, says whether the new iterate repeats the old
+    one (``_SETTLED``), meets the target (``_REACHED``) or stalls
+    (``_STALLED``: close now).  A move against ``direction`` by more than
+    ``mono_eps`` raises ``order_error`` formatted with ``gap`` and ``step``."""
+    up = direction == "up"
+    trace = IterationTrace(direction)
+    trace.add("start", xs)
+    n = 0
+    for omega in range(max_omega_stages + 1):
+        for _ in range(max_steps):
+            x_new, new = step(x, xs)
+            n += 1
+            moves, dists = [], []   # builtin min/max: NaN in x_1 never settles
+            for nv, ov in zip(new, xs):
+                d = nv - ov
+                moves.append(float(d.min()) if up else -float(d.max()))
+                dists.append(float(np.abs(d).max()))
+            worst, diff = min(moves), max(dists)
+            if worst < -mono_eps:
+                raise MonotonicityError(order_error.format(gap=-worst, step=n))
+            verdict = stop(x, x_new, new, diff)
+            if (record_every and n % record_every == 0) or verdict is _REACHED:
+                trace.add(f"step {n}", new)
+            x, xs = x_new, new
+            if verdict is _STALLED:
+                break
+            if verdict:
+                trace.stabilized = True
+                trace.stabilization_index = n - (verdict is _SETTLED)
+                return x, xs, trace
+        x, xs = close(xs)
+        trace.add(f"omega {omega + 1}", xs)
+        trace.omega_stages = omega + 1
+    return x, xs, trace
 
 
 def iterate_chain(S: CauchySystem, start: list, direction: str,
@@ -265,54 +313,31 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
         raise SolverDataError(
             f"chain direction must be 'up' or 'down', not {direction!r}")
     sign = 1.0 if direction == "up" else -1.0
-    trace = IterationTrace(direction)
     grid = S.grid
     cidx = closure_indices(grid, S.closure_points)
-    mono_mask = np.ones(len(grid), dtype=bool)
-    mono_mask[cidx] = False  # repaired values are definitions, not outputs
+
+    def repaired(vals, prev):  # the clamp keeps repaired points in order
+        new = [_repair_at(cidx, v, previous=p, sign=sign)
+               for v, p in zip(vals, prev)]
+        return [GridFn(grid, v) for v in new], new
+
+    def step(x, xs):
+        x_new = apply_operator(S, x)
+        new = [as_grid(f, grid) for f in x_new]
+        return repaired(new, xs) if S.closure_points else (x_new, new)
+
+    def stop(x, x_new, new, diff):
+        if all(isinstance(f, TaggedFn) for f in x + x_new):
+            return [f.tag for f in x] == [f.tag for f in x_new] and _SETTLED
+        return diff <= tol and _SETTLED
+
+    # an omega-stage takes the last iterate (the chain's sup/inf) and repairs
     x = list(start)
-    xs = [as_grid(f, grid) for f in x]
-    trace.add("start", xs)
-    steps_total = 0
-    for omega in range(max_omega_stages + 1):
-        for k in range(max_steps):
-            x_new = apply_operator(S, x)
-            new_samples = [as_grid(f, grid) for f in x_new]
-            if S.closure_points:
-                new_samples = [_repair_at(cidx, v, previous=ov, sign=sign)
-                               for v, ov in zip(new_samples, xs)]
-                x_new = [GridFn(grid, v) for v in new_samples]
-            steps_total += 1
-            # monotonicity on the grid, stage by stage (closure points are
-            # redefined by extrapolation and excluded)
-            moves = [sign * (nv - ov) for nv, ov in zip(new_samples, xs)]
-            worst = min(float(d[mono_mask].min()) for d in moves)
-            if S.monotone and worst < -mono_eps:
-                raise MonotonicityError(
-                    f"{direction}-chain violated order by {-worst:.3e} "
-                    f"at step {steps_total}")
-            if record_every and steps_total % record_every == 0:
-                trace.add(f"step {steps_total}", new_samples)
-            t_old, t_new = _tags(x), _tags(x_new)
-            if t_old is not None and t_new is not None:
-                equal = t_old == t_new
-            else:
-                equal = max(float(np.abs(d).max()) for d in moves) <= tol
-            x, xs = x_new, new_samples
-            if equal:
-                trace.stabilized = True
-                trace.stabilization_index = steps_total - 1
-                trace.omega_stages = omega
-                return x, trace
-        # omega-stage: monotone chain's pointwise sup/inf is the last iterate;
-        # the closure repair is what actually unlocks identity points
-        omega_samples = [_repair_at(cidx, v, previous=v, sign=sign)
-                         for v in xs]
-        x = [GridFn(grid, v) for v in omega_samples]
-        xs = omega_samples
-        trace.add(f"omega {omega + 1}", omega_samples)
-        trace.omega_stages = omega + 1
-    trace.stabilized = False
+    x, _, trace = _monotone_chain(
+        direction, x, [as_grid(f, grid) for f in x], step, stop,
+        lambda xs: repaired(xs, xs), max_steps, max_omega_stages,
+        mono_eps if S.monotone else np.inf, record_every,
+        f"{direction}-chain violated order by {{gap:.3e}} at step {{step}}")
     return x, trace
 
 
@@ -341,17 +366,11 @@ class SubSuperPair:
         g = S.grid
         lo = [as_grid(f, g) for f in self.lower]
         hi = [as_grid(f, g) for f in self.upper]
-        for a, b in zip(lo, hi):
-            if np.any(a > b + 1e-12):
-                raise OrderBoundError("lower exceeds upper on the grid")
-        flo = apply_operator(S, self.lower)
-        fhi = apply_operator(S, self.upper)
-        for y, fy in zip(lo, flo):
-            if np.any(y > as_grid(fy, g) + 1e-9):
-                raise OrderBoundError("lower bound is not a subsolution")
-        for y, fy in zip(hi, fhi):
-            if np.any(as_grid(fy, g) > y + 1e-9):
-                raise OrderBoundError("upper bound is not a supersolution")
+        _check_order(lo, hi, g, "lower exceeds upper on the grid", 1e-12)
+        _check_order(lo, apply_operator(S, self.lower), g,
+                     "lower bound is not a subsolution")
+        _check_order(apply_operator(S, self.upper), hi, g,
+                     "upper bound is not a supersolution")
         return lo, hi
 
 
@@ -374,18 +393,15 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
     y_hi, tr_dn = iterate_chain(S, pair.upper, "down", tol, max_steps,
                                 max_omega_stages, **kw)
     res_tol = res_tol if res_tol is not None else 50 * tol
-    r_lo, r_hi = residual(S, y_lo), residual(S, y_hi)
+    r_lo = tr_up.residual = residual(S, y_lo)
+    r_hi = tr_dn.residual = residual(S, y_hi)
     if not (r_lo <= res_tol and r_hi <= res_tol):
         raise FixedPointError(
             f"chain limits are not fixed points (residuals {r_lo:.2e}, {r_hi:.2e})")
     g = S.grid
-    checks = (("smallest solution exceeds greatest", y_lo, y_hi),
-              ("lower bound exceeds the smallest solution", lo, y_lo),
-              ("greatest solution exceeds the upper bound", y_hi, hi))
-    for message, below, above in checks:
-        for a, b in zip(below, above):
-            if not np.all(as_grid(a, g) <= as_grid(b, g) + 1e-9):
-                raise OrderBoundError(message)
+    _check_order(y_lo, y_hi, g, "smallest solution exceeds greatest")
+    _check_order(lo, y_lo, g, "lower bound exceeds the smallest solution")
+    _check_order(y_hi, hi, g, "greatest solution exceeds the upper bound")
     return y_lo, y_hi, (tr_up, tr_dn)
 
 
@@ -412,12 +428,9 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
         w = rng.uniform(0, 1, size=S.m)
         x = [GridFn(g, (1 - wi) * lo + wi * hi)
              for wi, lo, hi in zip(w, los, his)]
-        fx = apply_operator(S, x)
-        for lo, fi, hi in zip(los, fx, his):
-            fv = as_grid(fi, g)
-            ok = np.all(lo <= fv + 1e-9) and np.all(fv <= hi + 1e-9)
-            if not ok:
-                raise OrderBoundError("declared order bounds fail a spot check")
+        fx = [as_grid(f, g) for f in apply_operator(S, x)]
+        _check_order(los, fx, g, "declared order bounds fail a spot check")
+        _check_order(fx, his, g, "declared order bounds fail a spot check")
     return pair
 
 
@@ -498,35 +511,23 @@ def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
             if _l1_norm_grid(as_grid(fi, g), g) > float(cfg.Q(xnorm)) + 1e-9:
                 raise ValueError("L1 growth hypothesis fails a spot check")
 
-    def clipped(op):
-        def mapped(x):
-            fx = apply_operator(S, x)
-            return [GridFn(g, op(as_grid(f, g), 0.0)) for f in fx]
-        return mapped
+    def clipped(phi, op):
+        return lambda x: GridFn(g, op(as_grid(phi(x), g), 0.0))
 
-    zero = S.constant_start([0.0] * S.m)
-    lower = _simple_chain(clipped(np.minimum), zero, g, "down", tol, max_steps)
-    upper = _simple_chain(clipped(np.maximum), zero, g, "up", tol, max_steps)
-    pair = SubSuperPair(lower, upper)
+    bracket = []
+    for op, direction in ((np.minimum, "down"), (np.maximum, "up")):
+        aux = CauchySystem(S.m, [clipped(phi, op) for phi in S.component_maps],
+                           S.c, S.interval, g)
+        y, trace = iterate_chain(aux, S.constant_start([0.0] * S.m), direction,
+                                 tol, max_steps, max_omega_stages=0,
+                                 record_every=0)
+        if not trace.stabilized:
+            raise FixedPointError(f"{direction} bracket chain did not settle "
+                                  f"within max_steps={max_steps} steps")
+        bracket.append(y)
+    pair = SubSuperPair(*bracket)
     y_min, y_max, traces = smallest_greatest(S, pair, tol, max_steps)
     return y_min, y_max, (pair, R, traces)
-
-
-def _simple_chain(mapped, start, grid, direction, tol, max_steps):
-    sign = 1.0 if direction == "up" else -1.0
-    x = list(start)
-    for _ in range(max_steps):
-        x_new = mapped(x)
-        diff = max(float(np.max(np.abs(as_grid(a, grid) - as_grid(b, grid))))
-                   for a, b in zip(x_new, x))
-        worst = min(float(np.min(sign * (as_grid(a, grid) - as_grid(b, grid))))
-                    for a, b in zip(x_new, x))
-        if worst < -1e-9:
-            raise MonotonicityError("auxiliary bracket chain is not monotone")
-        x = x_new
-        if diff <= tol:
-            return x
-    return x
 
 
 @dataclass
@@ -543,10 +544,9 @@ class MajorantOp:
         for _ in range(cases):
             u = np.abs(rng.normal(size=len(self.grid)))
             v = u + np.abs(rng.normal(size=len(self.grid)))
-            gu = as_grid(self.G(GridFn(self.grid, u)), self.grid)
-            gv = as_grid(self.G(GridFn(self.grid, v)), self.grid)
-            if np.any(gu > gv + 1e-9):
-                raise OrderBoundError("majorant operator is not increasing")
+            _check_order([self.G(GridFn(self.grid, u))],
+                         [self.G(GridFn(self.grid, v))], self.grid,
+                         "majorant operator is not increasing")
 
 
 def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
@@ -567,32 +567,26 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
         h = float(np.min(np.diff(grid)))
         stag_tol = tol * h / 8
     cidx = closure_indices(grid, M.closure_points)
-    w = as_grid(M.w0, grid)
-    trace = IterationTrace("down")
-    trace.add("start", [w])
-    steps = 0
-    for omega in range(max_omega_stages + 1):
-        for _ in range(max_steps):
-            w_new = as_grid(M.G(GridFn(grid, w)), grid)
-            steps += 1
-            if (w_new > w + 1e-9).any():
-                raise MonotonicityError("envelope chain is not decreasing")
-            diff = float(np.abs(w_new - w).max())
-            w = w_new
-            if float(w.max()) <= tol:
-                trace.add(f"step {steps}", [w])
-                trace.stabilized = True
-                trace.stabilization_index = steps
-                trace.omega_stages = omega
-                return True, trace
-            if diff <= stag_tol:
-                break
-        w = np.maximum(_repair_at(cidx, w, previous=w, sign=-1.0), 0.0)
-        trace.add(f"omega {omega + 1}", [w])
-        trace.omega_stages = omega + 1
-    certified = bool(float(np.max(w)) <= tol)
-    trace.stabilized = certified
-    return certified, trace
+
+    def step(ws, _):
+        ws = [as_grid(M.G(GridFn(grid, ws[0])), grid)]
+        return ws, ws
+
+    def stop(_, __, new, diff):
+        if float(new[0].max()) <= tol:
+            return _REACHED
+        return diff <= stag_tol and _STALLED
+
+    def close(ws):
+        ws = [np.maximum(_repair_at(cidx, ws[0], ws[0], -1.0), 0.0)]
+        return ws, ws
+
+    w0 = [as_grid(M.w0, grid)]
+    _, (w,), trace = _monotone_chain(
+        "down", w0, w0, step, stop, close, max_steps, max_omega_stages, 1e-9,
+        0, "envelope chain is not decreasing")
+    trace.stabilized = trace.stabilized or bool(float(np.max(w)) <= tol)
+    return trace.stabilized, trace
 
 
 def reduce_higher_order(m: int, g_map, c: list, interval: Interval,

@@ -182,3 +182,74 @@ def test_ex01_report_counts_uniqueness_steps(capsys):
     assert rep.outputs["uniqueness_omega_stages"] == utrace.omega_stages
     assert main(["example", "ex01", "--T", "2", "--grid", "64"]) == 0
     assert f"uniqueness_steps: {utrace.stabilization_index}\n" in capsys.readouterr().out
+
+
+# -- the one chain loop -------------------------------------------------------------------
+
+
+def test_uniqueness_chain_label_sequence():
+    _, trace = uniqueness_chain(SY.ex01_majorant(T=2, per_unit=16),
+                                tol=1e-9, max_steps=5_000)
+    assert trace.labels == ["start", "omega 1", "omega 2", "step 732"]
+    assert trace.stabilization_index == 732 and trace.omega_stages == 2
+
+
+def _nan_system():
+    from leftprim.intervals import Interval
+
+    grid = SV.make_grid(0, 1, 16)
+    nan = lambda x: GridFn(grid, np.full(len(grid), np.nan))
+    return SV.CauchySystem(1, [nan], [0.0], Interval(0, 1 + 1e-9), grid)
+
+
+def test_nan_up_chain_is_never_stabilized():
+    S = _nan_system()
+    _, trace = iterate_chain(S, S.constant_start([0.0]), "up", max_steps=5,
+                             max_omega_stages=1)
+    assert not trace.stabilized and trace.stabilization_index is None
+    assert trace.labels == ["start"] + [f"step {k}" for k in range(1, 6)] + [
+        "omega 1"] + [f"step {k}" for k in range(6, 11)] + ["omega 2"]
+
+
+def test_nan_operator_fails_the_order_checks():
+    S = _nan_system()
+    pair = SV.SubSuperPair(S.constant_start([-1.0]), S.constant_start([1.0]))
+    with pytest.raises(SV.OrderBoundError, match="not a subsolution"):
+        pair.validate(S)
+    nan = lambda w: GridFn(S.grid, np.full(len(S.grid), np.nan))
+    M = SV.MajorantOp(nan, GridFn.constant(S.grid, 1.0), S.grid)
+    with pytest.raises(SV.OrderBoundError, match="not increasing"):
+        M.spot_check_increasing()
+
+
+def test_minmax_bracket_chain_budget_raises():
+    from leftprim.intervals import Interval
+
+    grid = SV.make_grid(0, 1, 64)
+
+    def phi(x):
+        v = 1 + np.tanh(x[0].values)
+        return GridFn(grid, np.concatenate(
+            [[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(grid))]))
+
+    S = SV.CauchySystem(1, [phi], [0.0], Interval(0, 1 + 1e-9), grid)
+    cfg = SV.L1Config(Q=lambda r: 2.0)
+    with pytest.raises(SV.FixedPointError, match="up bracket chain .* max_steps=3 "):
+        SV.minmax_l1(S, cfg, max_steps=3)
+    y_min, y_max, _ = SV.minmax_l1(S, cfg, tol=1e-12, max_steps=2000)
+    assert np.allclose(y_min[0].values, y_max[0].values, atol=1e-9)
+
+
+def test_smallest_greatest_traces_carry_the_residuals():
+    from leftprim.runs import run_ex31
+
+    rep = run_ex31(per_unit=128)
+    (y_lo, y_hi), (tr_up, tr_dn) = rep.solutions, rep.traces
+    assert tr_up.residual == SV.residual(rep.system, y_lo) == rep.residuals["smallest"]
+    assert tr_dn.residual == SV.residual(rep.system, y_hi) == rep.residuals["greatest"]
+    S = SY.random_monotone_system(np.random.default_rng(11), m=2)
+    pair = SV.bounds_to_subsuper(S, *SY.order_bounds_for_random(S))
+    y_lo, y_hi, (tr_up, tr_dn) = SV.smallest_greatest(S, pair, tol=1e-11,
+                                                      max_steps=300)
+    assert tr_up.residual == SV.residual(S, y_lo)
+    assert tr_dn.residual == SV.residual(S, y_hi)
