@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .funcspace import RegulatedFn, step_approximation
 from .intervals import DomainError, Interval
-from .stepfn import StepFn
+from .stepfn import StepFn, _lattice, _q, _sums
 
 
 class PartitionOverflow(RuntimeError):
@@ -188,10 +188,9 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
                 loosest_tol=loosest)
         Fn = step_approximation(F, n, Interval(a, b))
     gv = _g_rights(gr, Fn.breaks)
-    total = 0
-    for k, v in enumerate(Fn.values):
-        total += v * (gv[k + 1] - gv[k])
-    return total
+    # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
+    acc, _, _, den = _sums(Fn.values, gv, _lattice(gv) if Fn.exact else (None, None), 0)
+    return _q(acc[-1], den)
 
 
 def stieltjes_sum(F: RegulatedFn, g, P: LeftPartition):

@@ -25,6 +25,7 @@ step (next iterate and grid samples), a stop rule and its omega closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -271,12 +272,14 @@ def _monotone_chain(direction, x, xs, step, stop, close, max_steps,
         for _ in range(max_steps):
             x_new, new = step(x, xs)
             n += 1
-            moves, dists = [], []   # builtin min/max: NaN in x_1 never settles
+            moves, dists = [], []
             for nv, ov in zip(new, xs):
                 d = nv - ov
                 moves.append(float(d.min()) if up else -float(d.max()))
                 dists.append(float(np.abs(d).max()))
             worst, diff = min(moves), max(dists)
+            if any(map(math.isnan, dists)):  # a NaN anywhere never settles
+                worst = diff = math.nan
             if worst < -mono_eps:
                 raise MonotonicityError(order_error.format(gap=-worst, step=n))
             verdict = stop(x, x_new, new, diff)
@@ -347,8 +350,8 @@ def residual(S: CauchySystem, x: list) -> float:
     fs = [as_grid(f, S.grid) for f in fx]
     if S.closure_points:
         fs = [closure_repair(S.grid, S.closure_points, v) for v in fs]
-    return max(float(np.max(np.abs(a - as_grid(b, S.grid))))
-               for a, b in zip(fs, x))
+    dists = [float(np.max(np.abs(a - as_grid(b, S.grid)))) for a, b in zip(fs, x)]
+    return math.nan if any(map(math.isnan, dists)) else max(dists)
 
 
 @dataclass

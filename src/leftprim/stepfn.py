@@ -7,32 +7,39 @@ The representation is left-continuous by construction.  When every breakpoint
 and value is a :class:`fractions.Fraction` all operations here are exact;
 float-valued instances arise as step approximations of symbolic functions and
 make no exactness claims.  A :class:`PiecewisePoly` holds a polynomial per
-cell instead; primitives of step data live there.
+cell instead; primitives of step data live there.  Both share the cell core
+``_Cells``: break checks, evaluation, one-sided limits and ``integral``.
 
-The base ``_Cells`` owns the rules both share: break validation, ``lo`` /
-``hi`` / ``interval``, evaluation and one-sided limits with their domain
-checks, ``right_limits``, ``jump_points`` and ``integral``, through two cell
-hooks each class supplies, ``_at(i, t)`` and ``_cell_integral(i, l, r)``.
-Arithmetic, ``refined``, ``cumulative`` and ``variation`` stay per class, as
-do ``StepFn``'s ``restrict``, lattice and norms, whose loops read ``values``.
+Exact breaks carry an int lattice, ``keys[i] = breaks[i] * den`` over a common
+denominator ``den`` of at most ``LATTICE_BITS`` bits.  Walks compare keys, and
+the exact sums over cells add value numerators times key widths as ints, then
+build one ``Fraction``.  Above the bound, and on float breaks, ``keys`` are the
+breaks, and the same code runs on ``Fraction`` or float arithmetic.
 
-Costs in comparisons, for operands of n and m cells: evaluation and the
-one-sided limits at a point take O(log n); ``+``, ``-``, ``*``, ``join``,
-``meet``, ``le`` and ``zip_with`` take O(n + m), one forward walk over both
-break lists that also yields the operand cells of every merged cell;
-``refined`` with m extra breaks takes O(n + m) when they come sorted
-(``PiecewisePoly.zip_with`` passes the merged breaks), O(n + m log m) if not;
-``right_limits`` at k ascending points takes O(n + k); ``restrict`` to k
-cells takes O(log n + k).  ``merged``, norms, integrals and ``cumulative``
-are single O(n) passes.
+Costs for n and m cells, in int comparisons on a lattice (``Fraction`` or
+float ones without): ``+``, ``-``, ``*``, ``join``, ``meet``, ``le`` and
+``zip_with`` take O(n + m), one forward walk over both key lists that also
+yields the operand cells of each merged cell, plus 2 ``Fraction`` comparisons
+of the domain ends; ``right_limits`` at k ascending points takes O(n + k);
+the constructor check, ``merged``, norms, integrals and ``cumulative`` are
+O(n) passes.  Evaluation at a point takes O(log n) ``Fraction`` comparisons,
+``restrict`` to k cells O(log n + k), and ``refined`` with m extra breaks
+O(n + m) if they come sorted, O(n + m log m) if not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
+from operator import lt
 
 from .intervals import DomainError, Interval
+
+# Past 512-1024 bits the gcds of building keys and Fractions from the int
+# sums cost more than the Fraction arithmetic they replace (measured on
+# 2000-cell steps, ROADMAP item 8); 256 keeps a margin of 2 or more.
+LATTICE_BITS = 256
 
 
 class StepDataError(ValueError):
@@ -43,28 +50,82 @@ def _is_exact(xs) -> bool:
     return all(isinstance(x, (Fraction, int)) for x in xs)
 
 
-def _merge(a, b):
-    """Merge two strictly increasing break lists with equal ends.
+def _lattice(xs, den=1):
+    """``(D, [x * D for x in xs])`` for exact xs, with D the least multiple
+    of den over all their denominators, while D has at most LATTICE_BITS
+    bits; else ``(None, None)``."""
+    ratios = []
+    for x in xs:
+        if not isinstance(x, (Fraction, int)):
+            return None, None
+        ratios.append(x.as_integer_ratio())
+        if den % ratios[-1][1]:
+            den = lcm(den, ratios[-1][1])
+            if den.bit_length() > LATTICE_BITS:  # stop at once: no big gcds
+                return None, None
+    return den, [n * (den // d) for n, d in ratios]
 
-    Returns the sorted union (a's object where both hold a point) and, for
-    each merged cell ``(pts[k], pts[k+1]]``, the index of the cell of a and
-    of the cell of b that contain it: one forward walk, no lookups.
+
+def _sums(xs, bs, lattice, zero):
+    """The sums ``zero + sum_{j < i} xs[j] * (bs[j+1] - bs[j])``, i = 0 ..
+    len(xs), and the xs, bs and den they ran on: ints over the lattices of xs
+    and bs (given) from 0 if their denominators multiply past 1, else as given
+    and den None (at 1 the data may be ``int``s, whose sums stay ``int``)."""
+    dy, ky = lattice
+    dx, kx = _lattice(xs) if dy is not None else (None, None)
+    den = None
+    if dx is not None and dx * dy > 1:
+        xs, bs, zero, den = kx, ky, 0, dx * dy
+    out = [zero]
+    for x, l, r in zip(xs, bs, bs[1:]):
+        zero = zero + x * (r - l)
+        out.append(zero)
+    return out, xs, bs, den
+
+
+def _q(x, den):
+    return x if den is None else Fraction(x, den)
+
+
+def _merge(a, ka, b, kb):
+    """Merge two strictly increasing break lists a and b with equal ends,
+    walking their keys ka and kb.
+
+    Returns the sorted union (a's object where both hold a point), its keys
+    and, for each merged cell ``(pts[k], pts[k+1]]``, the index of the cell
+    of a and of the cell of b that contain it: one forward walk, no lookups.
     """
-    pts, ia, ib = [a[0]], [], []
+    pts, keys, ia, ib = [a[0]], [ka[0]], [], []
     i = j = 1
     while i < len(a):  # a and b end on the same point
-        x, y = a[i], b[j]
+        x, y = ka[i], kb[j]
         ia.append(i - 1)
         ib.append(j - 1)
         if y < x:
-            pts.append(y)
+            pts.append(b[j])
+            keys.append(y)
             j += 1
         else:
-            pts.append(x)
+            pts.append(a[i])
+            keys.append(x)
             i += 1
             if not x < y:
                 j += 1
-    return pts, ia, ib
+    return pts, keys, ia, ib
+
+
+def _walk(f, g):
+    """``_merge`` of f's and g's breaks, walking their keys rescaled to the
+    lcm of their dens if it is within the bound, else the breaks; the union
+    comes with its lattice ``(den, keys)``, den None without one."""
+    den = f.den and g.den and lcm(f.den, g.den)
+    if den and den.bit_length() <= LATTICE_BITS:
+        ka = list(map((den // f.den).__mul__, f.keys))
+        kb = list(map((den // g.den).__mul__, g.keys))
+    else:
+        den, ka, kb = None, f.breaks, g.breaks
+    pts, keys, ia, ib = _merge(f.breaks, ka, g.breaks, kb)
+    return pts, (den, keys), ia, ib
 
 
 def _refine(breaks, extra):
@@ -74,29 +135,35 @@ def _refine(breaks, extra):
     """
     lo, hi = breaks[0], breaks[-1]
     inner = sorted(b for b in extra if lo < b < hi)  # stable; linear if sorted
-    inner = [b for i, b in enumerate(inner) if i == 0 or inner[i - 1] < b]
-    pts, cells, _ = _merge(breaks, [lo, *inner, hi])
+    inner = [lo] + [b for i, b in enumerate(inner) if i == 0 or inner[i - 1] < b] + [hi]
+    pts, _, cells, _ = _merge(breaks, breaks, inner, inner)
     return pts, cells
 
 
-def _right_cells(points, breaks):
-    """For each of the ascending ``points`` in ``[breaks[0], breaks[-1])``,
-    the j with ``breaks[j] <= t < breaks[j+1]``: the cell carrying the right
-    limit at t, found in one forward walk.
+def _right_cells(points, f):
+    """For each of the ascending ``points`` in ``[f.lo, f.hi)``, the j with
+    ``breaks[j] <= t < breaks[j+1]``: the cell carrying the right limit at t,
+    found in one forward walk (on the joint lattice, if any).
 
     Float points are walked against ``float(b)`` of exact breaks: under
     round-to-nearest ``t < float(b)`` implies ``t < b`` and ``t > float(b)``
     implies ``t > b``, so only ``t == float(b)`` is settled on ``b`` itself.
     """
+    breaks = f.breaks
     if points and (points[0] < breaks[0] or points[-1] >= breaks[-1]):
         raise DomainError(f"points outside [{breaks[0]}, {breaks[-1]})")
-    keys = breaks
+    keys = ties = breaks
     if points and all(isinstance(t, float) for t in points):
         keys = [float(b) for b in breaks]
+    elif f.den is not None:
+        den, kp = _lattice(points, f.den)
+        if den is not None:
+            keys = ties = list(map((den // f.den).__mul__, f.keys))
+            points = kp
     out = []
     j = 0
     for t in points:
-        while keys[j + 1] < t or keys[j + 1] == t and breaks[j + 1] <= t:
+        while keys[j + 1] < t or keys[j + 1] == t and ties[j + 1] <= t:
             j += 1
         out.append(j)
     return out
@@ -136,15 +203,21 @@ class _Cells:
     """Left-open cells ``(breaks[i], breaks[i+1]]`` over strictly increasing
     ``breaks``, read through ``_at`` and ``_cell_integral``."""
 
-    __slots__ = ("breaks", "base_value", "exact")
+    __slots__ = ("breaks", "den", "keys", "base_value", "exact")
 
-    def _set_breaks(self, breaks, ncells):
+    def _set_breaks(self, breaks, ncells, lattice):
+        """Check and store ``breaks`` and their lattice ``(den, keys)``, as
+        given (walk outputs pass theirs) or computed; returns exactness."""
         breaks = list(breaks)
         if len(breaks) != ncells + 1:
             raise StepDataError("need one more breakpoint than cells")
-        if not all(breaks[i] < breaks[i + 1] for i in range(ncells)):
+        den, keys = lattice or _lattice(breaks)
+        if den is None:
+            keys = breaks
+        if not all(map(lt, keys, keys[1:])):
             raise StepDataError("breakpoints must be strictly increasing")
-        self.breaks = breaks
+        self.breaks, self.den, self.keys = breaks, den, keys
+        return den is not None or _is_exact(breaks)
 
     @property
     def lo(self):
@@ -178,7 +251,7 @@ class _Cells:
 
     def right_limits(self, ts):
         """Right limits at the ascending points ``ts`` of [lo, hi)."""
-        return [self._at(j, t) for j, t in zip(_right_cells(ts, self.breaks), ts)]
+        return [self._at(j, t) for j, t in zip(_right_cells(ts, self), ts)]
 
     def jump_points(self):
         """Points where the function jumps: breaks whose left and right
@@ -214,15 +287,15 @@ class StepFn(_Cells):
 
     __slots__ = ("values",)
 
-    def __init__(self, breaks, values, base_value=None):
+    def __init__(self, breaks, values, base_value=None, *, lattice=None):
         values = list(values)
-        self._set_breaks(breaks, len(values))
+        exact = self._set_breaks(breaks, len(values), lattice)
         if base_value is None:
             # D^lc convention: right-continuous at the minimum
             base_value = values[0]
         self.values = values
         self.base_value = base_value
-        self.exact = _is_exact(self.breaks) and _is_exact(values) and _is_exact([base_value])
+        self.exact = exact and _is_exact(values) and _is_exact([base_value])
 
     # -- construction helpers -------------------------------------------------
 
@@ -262,15 +335,17 @@ class StepFn(_Cells):
 
     def merged(self) -> "StepFn":
         """Coalesce adjacent cells carrying equal values."""
-        breaks = [self.breaks[0]]
+        keep = [0]  # indices of the breaks kept
         values = []
         for i, v in enumerate(self.values):
             if values and values[-1] == v:
-                breaks[-1] = self.breaks[i + 1]
+                keep[-1] = i + 1
             else:
-                breaks.append(self.breaks[i + 1])
+                keep.append(i + 1)
                 values.append(v)
-        return StepFn(breaks, values, self.base_value)
+        b, k = self.breaks, self.keys
+        return StepFn([b[i] for i in keep], values, self.base_value,
+                      lattice=(self.den, [k[i] for i in keep]))
 
     def refined(self, extra_breaks) -> "StepFn":
         pts, cells = _refine(self.breaks, extra_breaks)
@@ -292,17 +367,18 @@ class StepFn(_Cells):
     def _common(f: "StepFn", g: "StepFn"):
         if f.lo != g.lo or f.hi != g.hi:
             raise DomainError("step functions live on different intervals")
-        pts, fc, gc = _merge(f.breaks, g.breaks)
-        return pts, [f.values[j] for j in fc], [g.values[j] for j in gc]
+        pts, lattice, fc, gc = _walk(f, g)
+        return pts, lattice, [f.values[j] for j in fc], [g.values[j] for j in gc]
 
     def zip_with(self, other: "StepFn", op) -> "StepFn":
-        pts, fv, gv = self._common(self, other)
+        pts, lattice, fv, gv = self._common(self, other)
         return StepFn(pts, [op(a, b) for a, b in zip(fv, gv)],
-                      op(self.base_value, other.base_value)).merged()
+                      op(self.base_value, other.base_value),
+                      lattice=lattice).merged()
 
     def map(self, op) -> "StepFn":
         return StepFn(self.breaks, [op(v) for v in self.values],
-                      op(self.base_value)).merged()
+                      op(self.base_value), lattice=(self.den, self.keys)).merged()
 
     def __add__(self, other):
         if isinstance(other, StepFn):
@@ -356,7 +432,7 @@ class StepFn(_Cells):
         return self.map(lambda v: max(-v, zero))
 
     def le(self, other) -> bool:
-        pts, fv, gv = self._common(self, other)
+        _, _, fv, gv = self._common(self, other)
         return self.base_value <= other.base_value and all(
             a <= b for a, b in zip(fv, gv))
 
@@ -364,23 +440,36 @@ class StepFn(_Cells):
 
     def variation(self):
         """Total variation on [lo, hi]."""
-        v = abs(self.values[0] - self.base_value)
-        for i in range(1, len(self.values)):
-            v += abs(self.values[i] - self.values[i - 1])
-        return v
+        xs = [self.base_value, *self.values]
+        den, nums = _lattice(xs)
+        if den in (None, 1):  # as stored, so int data stays int
+            den, nums = None, xs
+        v = abs(nums[1] - nums[0])
+        for i in range(2, len(nums)):
+            v += abs(nums[i] - nums[i - 1])
+        return _q(v, den)
 
     # -- integration and norms ----------------------------------------------------
 
+    def _running(self, zero):  # integrals from lo to each break
+        return _sums(self.values, self.breaks, (self.den, self.keys), zero)
+
+    def integral(self, a=None, b=None):
+        """Exact integral over [a, b] (defaults: whole domain)."""
+        if (a is None or a == self.lo) and (b is None or b == self.hi):
+            acc, _, _, den = self._running(0)
+            return _q(acc[-1], den)
+        return super().integral(a, b)
+
     def cumulative(self):
         """Exact running integral x -> int_lo^x, as a PiecewisePoly."""
-        coeffs = []
-        acc = Fraction(0) if self.exact else 0.0
-        for i, v in enumerate(self.values):
-            # on (b_i, b_{i+1}]: acc + v*(x - b_i)
-            coeffs.append((acc - v * self.breaks[i], v))
-            acc = acc + v * (self.breaks[i + 1] - self.breaks[i])
-        return PiecewisePoly(list(self.breaks), coeffs,
-                             base_value=Fraction(0) if self.exact else 0.0)
+        zero = Fraction(0) if self.exact else 0.0
+        acc, xs, bs, den = self._running(zero)
+        # on (b_i, b_{i+1}]: acc_i + v*(x - b_i)
+        coeffs = [(_q(acc[i] - x * bs[i], den), v)
+                  for i, (x, v) in enumerate(zip(xs, self.values))]
+        return PiecewisePoly(self.breaks, coeffs, base_value=zero,
+                             lattice=(self.den, self.keys))
 
     def sup_norm(self):
         return max(abs(self.base_value), max(abs(v) for v in self.values))
@@ -392,31 +481,21 @@ class StepFn(_Cells):
         """sup over subintervals of |integral|, via cumulative extrema."""
         f = self if a is None and b is None else self.restrict(
             a if a is not None else self.lo, b if b is not None else self.hi)
-        acc = Fraction(0) if f.exact else 0.0
-        mn = mx = acc
-        for i, v in enumerate(f.values):
-            acc = acc + v * (f.breaks[i + 1] - f.breaks[i])
-            mn = min(mn, acc)
-            mx = max(mx, acc)
-        return mx - mn
+        acc, _, _, den = f._running(Fraction(0) if f.exact else 0.0)
+        return _q(max(acc) - min(acc), den)
 
     def alexiewicz_extrema(self):
-        """Breakpoints attaining the cumulative max and min."""
-        acc = Fraction(0) if self.exact else 0.0
-        mn = mx = acc
-        arg_mn = arg_mx = self.breaks[0]
-        for i, v in enumerate(self.values):
-            acc = acc + v * (self.breaks[i + 1] - self.breaks[i])
-            if acc > mx:
-                mx, arg_mx = acc, self.breaks[i + 1]
-            if acc < mn:
-                mn, arg_mn = acc, self.breaks[i + 1]
-        return arg_mn, arg_mx
+        """Breakpoints attaining the cumulative max and min (the first, on
+        ties)."""
+        acc = self._running(Fraction(0) if self.exact else 0.0)[0]
+        at = range(len(acc))
+        return (self.breaks[min(at, key=acc.__getitem__)],
+                self.breaks[max(at, key=acc.__getitem__)])
 
     def as_poly(self) -> "PiecewisePoly":
         """Degree-0 piecewise polynomial view."""
-        return PiecewisePoly(list(self.breaks), [(v,) for v in self.values],
-                             self.base_value)
+        return PiecewisePoly(self.breaks, [(v,) for v in self.values],
+                             self.base_value, lattice=(self.den, self.keys))
 
     # -- serialization --------------------------------------------------------------
 
@@ -446,13 +525,13 @@ class PiecewisePoly(_Cells):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, breaks, coeffs, base_value=None):
+    def __init__(self, breaks, coeffs, base_value=None, *, lattice=None):
         self.coeffs = [tuple(c) for c in coeffs]
-        self._set_breaks(breaks, len(self.coeffs))
+        exact = self._set_breaks(breaks, len(self.coeffs), lattice)
         if base_value is None:
             base_value = self._horner(self.coeffs[0], self.breaks[0])
         self.base_value = base_value
-        self.exact = (_is_exact(self.breaks) and _is_exact([base_value])
+        self.exact = (exact and _is_exact([base_value])
                       and all(_is_exact(c) for c in self.coeffs))
 
     @staticmethod
@@ -497,24 +576,24 @@ class PiecewisePoly(_Cells):
     def zip_with(self, other, op):
         if self.lo != other.lo or self.hi != other.hi:
             raise DomainError("piecewise polynomials on different intervals")
-        pts = _merge(self.breaks, other.breaks)[0]
-        coeffs = [op(ca, cb) for ca, cb in zip(self.refined(pts).coeffs,
-                                               other.refined(pts).coeffs)]
-        return PiecewisePoly(pts, coeffs, op_scalar(op, self.base_value, other.base_value))
+        pts, lattice, ia, ib = _walk(self, other)
+        coeffs = [op(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)]
+        return PiecewisePoly(pts, coeffs, op_scalar(op, self.base_value, other.base_value),
+                             lattice=lattice)
 
     def __add__(self, other):
         if isinstance(other, PiecewisePoly):
             return self.zip_with(other, _poly_add)
         return PiecewisePoly(self.breaks,
                              [_poly_add(c, (other,)) for c in self.coeffs],
-                             self.base_value + other)
+                             self.base_value + other, lattice=(self.den, self.keys))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, k):
         return PiecewisePoly(self.breaks, [tuple(k * a for a in c) for c in self.coeffs],
-                             k * self.base_value)
+                             k * self.base_value, lattice=(self.den, self.keys))
 
     def __mul__(self, other):
         if isinstance(other, PiecewisePoly):
@@ -529,8 +608,9 @@ class PiecewisePoly(_Cells):
             off = acc - self._horner(anti, self.breaks[i])
             coeffs.append(_poly_add(anti, (off,)))
             acc = acc + self._horner(anti, self.breaks[i + 1]) - self._horner(anti, self.breaks[i])
-        return PiecewisePoly(list(self.breaks), coeffs,
-                             base_value=Fraction(0) if self.exact else 0.0)
+        return PiecewisePoly(self.breaks, coeffs,
+                             base_value=Fraction(0) if self.exact else 0.0,
+                             lattice=(self.den, self.keys))
 
     def variation(self):
         """Exact total variation for cells of degree <= 2."""

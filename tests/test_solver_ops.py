@@ -211,6 +211,22 @@ def test_nan_up_chain_is_never_stabilized():
         "omega 1"] + [f"step {k}" for k in range(6, 11)] + ["omega 2"]
 
 
+def test_nan_in_a_later_component_is_never_stabilized():
+    from leftprim.intervals import Interval
+
+    grid = SV.make_grid(0, 1, 16)
+    zero = lambda x: GridFn(grid, np.zeros(len(grid)))
+    nan = lambda x: GridFn(grid, np.full(len(grid), np.nan))
+    S = SV.CauchySystem(2, [zero, nan], [0.0, 0.0], Interval(0, 1 + 1e-9), grid)
+    start = S.constant_start([0.0, 0.0])
+    for direction in ("up", "down"):
+        _, trace = iterate_chain(S, start, direction, max_steps=3,
+                                 max_omega_stages=0)
+        assert not trace.stabilized and trace.stabilization_index is None
+        assert trace.labels == ["start", "step 1", "step 2", "step 3", "omega 1"]
+    assert math.isnan(SV.residual(S, start))
+
+
 def test_nan_operator_fails_the_order_checks():
     S = _nan_system()
     pair = SV.SubSuperPair(S.constant_start([-1.0]), S.constant_start([1.0]))

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from leftprim import gauge
+from leftprim.builders import AlternatingIndicatorTail
 from leftprim.funcspace import RegulatedFn
 from leftprim.intervals import DomainError
 from leftprim.stepfn import (PiecewisePoly, StepFn, _poly_add, _poly_mul,
                              float_cells, random_stepfn)
+from leftprim.stepfn import LATTICE_BITS
 
 F = Fraction
 
@@ -301,6 +303,233 @@ def test_step_and_poly_share_the_cell_core(seed):
                 g.right_limit(f.hi)
 
 
+# -- the int lattice: walks and exact sums against naive Fraction loops --------
+# (naive references: plain loops over the stored values and breaks)
+
+
+def ref_merged(f):
+    breaks, values = [f.breaks[0]], []
+    for i, v in enumerate(f.values):
+        if values and values[-1] == v:
+            breaks[-1] = f.breaks[i + 1]
+        else:
+            breaks.append(f.breaks[i + 1])
+            values.append(v)
+    return breaks, values
+
+
+def ref_integral_loop(f, a=None, b=None):
+    a = f.lo if a is None else a
+    b = f.hi if b is None else b
+    sign = 1
+    if a > b:
+        a, b, sign = b, a, -1
+    total = 0
+    for i, v in enumerate(f.values):
+        l, r = max(f.breaks[i], a), min(f.breaks[i + 1], b)
+        if r > l:
+            total += v * (r - l)
+    return sign * total
+
+
+def ref_l1(f):
+    breaks, values = ref_merged(StepFn(f.breaks, [abs(v) for v in f.values]))
+    return ref_integral_loop(StepFn(breaks, values))
+
+
+def ref_variation(f):
+    v = abs(f.values[0] - f.base_value)
+    for i in range(1, len(f.values)):
+        v += abs(f.values[i] - f.values[i - 1])
+    return v
+
+
+def ref_running(f):
+    acc = Fraction(0) if f.exact else 0.0
+    out = [acc]
+    for i, v in enumerate(f.values):
+        acc = acc + v * (f.breaks[i + 1] - f.breaks[i])
+        out.append(acc)
+    return out
+
+
+def ref_alexiewicz(f):
+    acc = ref_running(f)
+    mn = mx = acc[0]
+    for x in acc[1:]:
+        mn, mx = min(mn, x), max(mx, x)
+    return mx - mn
+
+
+def ref_extrema(f):
+    acc = ref_running(f)
+    mn = mx = acc[0]
+    arg_mn = arg_mx = f.breaks[0]
+    for i, x in enumerate(acc[1:]):
+        if x > mx:
+            mx, arg_mx = x, f.breaks[i + 1]
+        if x < mn:
+            mn, arg_mn = x, f.breaks[i + 1]
+    return arg_mn, arg_mx
+
+
+def ref_cumulative(f):
+    acc = ref_running(f)
+    return [(acc[i] - v * f.breaks[i], v) for i, v in enumerate(f.values)]
+
+
+def ref_stieltjes(f, g):
+    gv = [ref_g_right(g, t) for t in f.breaks]
+    total = 0
+    for k, v in enumerate(f.values):
+        total += v * (gv[k + 1] - gv[k])
+    return total
+
+
+def ident(a, b):
+    """Same type and value: same numerator and denominator when rational,
+    same bits (sign of zero included) when float."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(ident, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return (a.numerator, a.denominator) == (b.numerator, b.denominator)
+
+
+def lattice_ok(h):
+    """A walk output's lattice matches its breaks, and the public
+    constructor rebuilds it unchanged."""
+    if h.den is None:
+        assert h.keys is h.breaks
+    else:
+        assert h.den.bit_length() <= LATTICE_BITS
+        assert all(type(k) is int and k == b * h.den for k, b in zip(h.keys, h.breaks))
+        assert len(h.keys) == len(h.breaks)
+    cls = type(h)
+    data = h.values if cls is StepFn else h.coeffs
+    r = cls(h.breaks, data, h.base_value)
+    assert ident(r.breaks, h.breaks) and ident(list(r.values if cls is StepFn else r.coeffs),
+                                               list(data))
+    assert r.exact == h.exact
+
+
+def dyadic_step(rng, lo=F(0), hi=F(1)):
+    cuts = sorted({lo + (hi - lo) * F(int(rng.integers(1, 64)), 64)
+                   for _ in range(int(rng.integers(0, 9)))})
+    values = [F(int(rng.integers(-9, 10)), 2 ** int(rng.integers(0, 4)))
+              for _ in range(len(cuts) + 1)]
+    return StepFn([lo, *cuts, hi], values, F(int(rng.integers(-3, 4))))
+
+
+def int_step(rng, typ):
+    """Integer breaks on [0, 10] and integer values, as ``typ`` objects."""
+    cuts = sorted(set(int(c) for c in rng.integers(1, 10, size=int(rng.integers(0, 6)))))
+    values = [typ(int(rng.integers(-4, 5))) for _ in range(len(cuts) + 1)]
+    return StepFn([typ(0), *map(typ, cuts), typ(10)], values, typ(int(rng.integers(-2, 3))))
+
+
+def harmonic(rng):
+    """Steps on [-1, 0] with breaks -1/k: their denominator is above the bound."""
+    f = AlternatingIndicatorTail(1).partial(int(rng.integers(200, 260)))
+    values = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in f.values]
+    return StepFn(f.breaks, values, F(1))
+
+
+def float_step(rng):
+    cuts = sorted(set(float(c) for c in rng.uniform(0, 1, size=int(rng.integers(0, 8)))))
+    values = [float(v) for v in rng.normal(size=len(cuts) + 1)]
+    values[-1] = -0.0  # sums keep the sign of zero
+    return StepFn([0.0, *cuts, 1.0], values, -0.0)
+
+
+def lattice_pairs(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(10):
+        yield dyadic_step(rng), dyadic_step(rng)
+        yield grid_step(rng, 8 * 6, 6), grid_step(rng, 8 * 9, 9)  # 8 * cells
+        yield grid_step(rng, 7, 6), grid_step(rng, 11, 9)          # coprime
+        yield int_step(rng, int), int_step(rng, int)
+        yield int_step(rng, F), int_step(rng, int)                # Fraction(k, 1)
+        yield float_step(rng), float_step(rng)
+        d = dyadic_step(rng)
+        yield StepFn(d.breaks, [float(v) for v in d.values]), d      # float values
+        if k < 2:  # slow on the naive references
+            f = harmonic(rng)
+            yield f, harmonic(rng)
+            yield f, dyadic_step(rng, F(-1), F(0))                # one lattice
+            yield StepFn(f.breaks, [float(v) for v in f.values]), f  # float values
+
+
+def min_den(f):
+    """The least common denominator of exact breaks; None for float ones."""
+    if all(isinstance(b, (F, int)) for b in f.breaks):
+        return math.lcm(*(F(b).denominator for b in f.breaks))
+    return None
+
+
+def test_lattice_pairs_cover_both_sides_of_the_bound():
+    kinds = {(f.den is None, min_den(f) is None) for pair in lattice_pairs(0) for f in pair}
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lattice_walks_match_fraction_references(seed):
+    for f, g in lattice_pairs(seed):
+        for h in (f, g):  # the least denominator, while within the bound
+            d = min_den(h)
+            assert h.den == (d if d and d.bit_length() <= LATTICE_BITS else None)
+        outs = [f.zip_with(g, op) for op in OPS.values()]
+        outs += [f + g, f - g, f * g, f.join(g), f.meet(g), f.merged(), f.abs(), 3 * f]
+        for h in outs:
+            lattice_ok(h)
+        for h, op in zip(outs, OPS.values()):
+            assert same(h, ref_zip(f, g, op))
+            assert ident(h.breaks, ref_zip(f, g, op).breaks)
+        assert ident(f.merged().breaks, ref_merged(f)[0])
+        assert ident(f.merged().values, ref_merged(f)[1])
+        assert f.le(g) == (f.base_value <= g.base_value and all(
+            a <= b for a, b in zip(*ref_common(f, g)[1:])))
+        assert f.le(f)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lattice_sums_match_fraction_loops(seed):
+    for f, g in lattice_pairs(seed):
+        for h in (f, g):
+            assert ident(h.integral(), ref_integral_loop(h))
+            ends = sorted(set(h.breaks[:3] + h.breaks[-2:]))
+            mid = (h.breaks[0] + h.breaks[1]) / 2
+            for a, b in ((ends[0], ends[-1]), (ends[-1], ends[0]), (ends[1], ends[-2]),
+                         (mid, ends[-1]), (ends[0], mid), (mid, mid)):
+                assert ident(h.integral(a, b), ref_integral_loop(h, a, b))
+            assert ident(h.l1_norm(), ref_l1(h))
+            assert ident(h.variation(), ref_variation(h))
+            assert ident(h.alexiewicz_norm(), ref_alexiewicz(h))
+            assert ident(h.alexiewicz_extrema(), ref_extrema(h))
+            c = h.cumulative()
+            lattice_ok(c)
+            assert ident(c.breaks, h.breaks) and ident(c.coeffs, ref_cumulative(h))
+            assert ident(c.base_value, F(0) if h.exact else 0.0)
+        got = gauge.stieltjes(RegulatedFn.from_step(f), g, f.lo, f.hi)
+        assert ident(got, ref_stieltjes(f, g))
+        p = g.cumulative()  # a piecewise-linear g
+        assert ident(gauge.stieltjes(RegulatedFn.from_step(f), p, f.lo, f.hi),
+                     ref_stieltjes(f, p))
+
+
+def test_right_limits_on_and_off_the_lattice():
+    g = StepFn([F(0), F(1, 2 ** 200), F(1, 2), F(1)], [F(1), F(2), F(3)], F(0))
+    assert g.den == 2 ** 200
+    near = [F(0), F(1, 3 ** 20), F(1, 2 ** 200), F(1, 3), F(1, 2), F(2, 3)]
+    far = near + [F(1, 3 ** 100)]  # joint denominator above the bound
+    for ts in (near, sorted(far)):
+        assert g.right_limits(ts) == [ref_g_right(g, t) for t in ts]
+        p = g.cumulative()
+        assert p.right_limits(ts) == [ref_g_right(p, t) for t in ts]
+
+
 # -- comparison-count guards ----------------------------------------------------
 
 
@@ -357,3 +586,26 @@ def test_right_limit_walk_comparisons_linear():
     g = counted_step(n)
     ts = [Counted(i, 11 * n) for i in range(11 * n)]
     assert comparisons(lambda: g.right_limits(ts)) <= 4 * (n + len(ts))
+
+
+def counted_harmonic(n, num=1):
+    """Exact step on [-1, 0] with breaks -num/k: above the lattice bound."""
+    ks = range(num + 1, n + 1) if num == 1 else range(3, 2 * n, 2)
+    breaks = [Counted(-1)] + [Counted(-num, k) for k in ks] + [Counted(0)]
+    return StepFn(breaks, [Fraction(i % 3) for i in range(len(breaks) - 1)])
+
+
+def test_lattice_merge_compares_no_fractions_but_the_ends():
+    for n, m in ((64, 65), (1000, 1001)):
+        f, g = counted_step(n), counted_step(m)
+        assert (f.den, g.den) == (n, m)
+        for op in (f.__add__, f.join, f.meet, f.le):
+            assert comparisons(lambda: op(g)) <= 4
+
+
+def test_merge_above_the_bound_stays_linear():
+    f, g = counted_harmonic(300), counted_harmonic(301, num=2)  # disjoint inner breaks
+    assert f.den is None and g.den is None
+    n, m = len(f.values), len(g.values)
+    for op in (f.__add__, f.join, f.meet, f.le):
+        assert comparisons(lambda: op(g)) <= 6 * (n + m)
