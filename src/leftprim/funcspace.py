@@ -335,11 +335,7 @@ def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
         sf = F.payload
         if (J.lo, J.hi) != (sf.lo, sf.hi):
             sf = sf.restrict(Fraction(J.lo), Fraction(J.hi))
-        if kind == "alexiewicz":
-            return sf.alexiewicz_norm()
-        if kind == "l1":
-            return sf.l1_norm()
-        return sf.sup_norm()
+        return getattr(sf, f"{kind}_norm")()
     if F.kind == "poly":
         return _poly_norm(F.payload, kind, J, grid)
     lo, hi = float(J.lo), float(J.hi)

@@ -14,9 +14,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .funcspace import RegulatedFn, step_approximation
 from .intervals import DomainError, Interval
-from .stepfn import StepFn, _lattice, _q, _sums
+from .stepfn import StepFn, _lattice, _q, _right_cells, _sums
 
 
 class PartitionOverflow(RuntimeError):
@@ -59,9 +61,7 @@ class LeftGauge:
                 raise PartitionError(f"gauge width {d} at y={y} is not positive")
             x = max(a, y - d)
         else:
-            below = [p for p in self.table if p < y]
-            x = max(below) if below else a
-            x = max(x, a)
+            x = max([p for p in self.table if p < y] + [a])
         if not (x < y):
             raise DomainError(f"gauge returned empty interval at y={y}")
         return x, y
@@ -99,8 +99,7 @@ def fine_partition(gamma: LeftGauge, a, b, max_cells: int = 10_000) -> LeftParti
     """
     if not a < b:
         raise DomainError(f"empty interval ({a}, {b}]")
-    cells = []
-    y = b
+    cells, y = [], b
     while y > a:
         x, yy = gamma(y, a)
         cells.append((x, y))
@@ -139,6 +138,21 @@ def _g_rights(g, ts):
     k = bisect_left(ts, g.hi)
     tail = [g(g.hi)] * (len(ts) - k) if k < len(ts) else []
     return g.right_limits(ts[:k]) + tail
+
+
+def _stieltjes_floats(xs, g, ts):
+    """``sum_k xs[k] [g(ts[k+1]+) - g(ts[k]+)]`` for float xs and ascending
+    float ts, with the bits of the cell loop in ``stieltjes``; step values are
+    subtracted only where the right-limit cell changes (elsewhere ``v - v``)."""
+    if not isinstance(g, StepFn):
+        d = np.diff(np.array(_g_rights(g, ts), dtype=float))
+    else:
+        v, k = g.values, bisect_left(ts, g.hi)  # from hi on, g(b+) := g(b)
+        c = np.append(_right_cells(ts[:k], g), [len(v) - 1] * (len(ts) - k)).astype(int)
+        d, i = np.array([float(x - x) for x in v])[c[:-1]], np.flatnonzero(np.diff(c))
+        d[i] = [float(v[r] - v[l]) for l, r in zip(c[i].tolist(), c[i + 1].tolist())]
+    # x * Fraction is x * float(Fraction); the sum runs from 0, in order
+    return float(np.cumsum(np.append(0.0, np.multiply(xs, d)))[-1])
 
 
 def mu_interval(g, x, y):
@@ -187,6 +201,8 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
                 f"tolerance {tol:g} needs step level n={n} > {MAX_LEVEL}",
                 loosest_tol=loosest)
         Fn = step_approximation(F, n, Interval(a, b))
+    if all(type(x) is float for x in Fn.breaks + Fn.values):
+        return _stieltjes_floats(Fn.values, gr, Fn.breaks)
     gv = _g_rights(gr, Fn.breaks)
     # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
     acc, _, _, den = _sums(Fn.values, gv, _lattice(gv) if Fn.exact else (None, None), 0)

@@ -20,11 +20,13 @@ Costs for n and m cells, in int comparisons on a lattice (``Fraction`` or
 float ones without): ``+``, ``-``, ``*``, ``join``, ``meet``, ``le`` and
 ``zip_with`` take O(n + m), one forward walk over both key lists that also
 yields the operand cells of each merged cell, plus 2 ``Fraction`` comparisons
-of the domain ends; ``right_limits`` at k ascending points takes O(n + k);
-the constructor check, ``merged``, norms, integrals and ``cumulative`` are
-O(n) passes.  Evaluation at a point takes O(log n) ``Fraction`` comparisons,
-``restrict`` to k cells O(log n + k), and ``refined`` with m extra breaks
-O(n + m) if they come sorted, O(n + m log m) if not.
+of the domain ends; ``right_limits`` at k ascending exact points O(n + k), at
+k float points one ``searchsorted`` (a :func:`float_cells` reading, of three)
+plus a ``Fraction`` comparison per tie ``t == float(b)``; the constructor
+check, ``merged``, norms, integrals and ``cumulative`` are O(n) passes.
+Evaluation at a point takes O(log n) ``Fraction`` comparisons, ``restrict``
+to k cells O(log n + k), and ``refined`` with m extra breaks O(n + m) if they
+come sorted, O(n + m log m) if not.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
-from operator import lt
+from operator import add, lt, mul
 
 from .intervals import DomainError, Interval
 
@@ -66,16 +68,19 @@ def _lattice(xs, den=1):
     return den, [n * (den // d) for n, d in ratios]
 
 
-def _sums(xs, bs, lattice, zero):
+def _sums(xs, bs, lattice, zero, absolute=False):
     """The sums ``zero + sum_{j < i} xs[j] * (bs[j+1] - bs[j])``, i = 0 ..
     len(xs), and the xs, bs and den they ran on: ints over the lattices of xs
     and bs (given) from 0 if their denominators multiply past 1, else as given
-    and den None (at 1 the data may be ``int``s, whose sums stay ``int``)."""
+    and den None (at 1 the data may be ``int``s, whose sums stay ``int``).
+    ``absolute`` sums ``|xs[j]|`` instead (on a lattice: the |numerators|)."""
     dy, ky = lattice
     dx, kx = _lattice(xs) if dy is not None else (None, None)
     den = None
     if dx is not None and dx * dy > 1:
         xs, bs, zero, den = kx, ky, 0, dx * dy
+    if absolute:
+        xs = list(map(abs, xs))
     out = [zero]
     for x, l, r in zip(xs, bs, bs[1:]):
         zero = zero + x * (r - l)
@@ -142,60 +147,56 @@ def _refine(breaks, extra):
 
 def _right_cells(points, f):
     """For each of the ascending ``points`` in ``[f.lo, f.hi)``, the j with
-    ``breaks[j] <= t < breaks[j+1]``: the cell carrying the right limit at t,
-    found in one forward walk (on the joint lattice, if any).
-
-    Float points are walked against ``float(b)`` of exact breaks: under
-    round-to-nearest ``t < float(b)`` implies ``t < b`` and ``t > float(b)``
-    implies ``t > b``, so only ``t == float(b)`` is settled on ``b`` itself.
-    """
+    ``breaks[j] <= t < breaks[j+1]``: one :func:`float_cells` lookup for float
+    points (an int array), else one forward walk (on the joint lattice, if any)."""
     breaks = f.breaks
     if points and (points[0] < breaks[0] or points[-1] >= breaks[-1]):
         raise DomainError(f"points outside [{breaks[0]}, {breaks[-1]})")
-    keys = ties = breaks
     if points and all(isinstance(t, float) for t in points):
-        keys = [float(b) for b in breaks]
-    elif f.den is not None:
+        return float_cells(breaks, points, True, right=True)
+    keys = breaks
+    if f.den is not None:
         den, kp = _lattice(points, f.den)
         if den is not None:
-            keys = ties = list(map((den // f.den).__mul__, f.keys))
+            keys = list(map((den // f.den).__mul__, f.keys))
             points = kp
-    out = []
-    j = 0
+    out, j = [], 0
     for t in points:
-        while keys[j + 1] < t or keys[j + 1] == t and ties[j + 1] <= t:
+        while keys[j + 1] <= t:
             j += 1
         out.append(j)
     return out
 
 
-def float_cells(breaks, ts, exact: bool):
+def float_cells(breaks, ts, exact: bool, right=False):
     """For the float points ``ts``, the cell index ``j`` (cell
     ``(breaks[j], breaks[j+1]]``) among the increasing, exact or float
     ``breaks``, as an integer array shaped like ``ts``: -1 at or below
-    ``breaks[0]``, ``len(breaks) - 1`` above ``breaks[-1]``.
+    ``breaks[0]``, ``len(breaks) - 1`` above ``breaks[-1]`` (with ``right``:
+    -1 below, ``len(breaks) - 1`` at or above).
 
-    Cells are found against ``float(b)``: j is the cell closing at the first
-    break with ``float(b) >= t``, the cell whose polynomial bounds a cell
-    ``(u, float(c)]`` cut at ``c``.  With ``exact`` the cell holding t is
-    returned instead, ``breaks[j] < t <= breaks[j+1]``, as ``__call__``
-    evaluates: under round-to-nearest ``t < float(b)`` implies ``t < b`` and
-    ``t > float(b)`` implies ``t > b``, so only a point ``t == float(b) != b``
-    is settled on the exact breaks.
+    Three readings of one ``searchsorted`` on ``float(b)``: by default the
+    cell closing at the first break with ``float(b) >= t``, whose polynomial
+    bounds a cell ``(u, float(c)]`` cut at ``c``; with ``exact`` the cell
+    holding t, ``breaks[j] < t <= breaks[j+1]`` (as ``__call__``); with
+    ``right`` the right-limit cell, ``breaks[j] <= t < breaks[j+1]``.  As
+    round-to-nearest keeps ``t < float(b)`` below b and ``t > float(b)``
+    above it, the exact readings settle only ``t == float(b) != b`` on b.
     """
     import numpy as np
 
     shape = np.shape(ts)
     ts = np.asarray(ts, dtype=float).ravel()
     fb = np.array([float(b) for b in breaks])
-    pos = np.searchsorted(fb, ts, side="left")
+    pos = np.searchsorted(fb, ts, side="right" if right else "left")
     cells = pos - 1
-    if exact:
-        near = np.minimum(pos, len(fb) - 1)
+    if exact or right:
+        # the break t may tie: the last with float(b) <= t, or the first >= t
+        near = np.maximum(pos - 1, 0) if right else np.minimum(pos, len(fb) - 1)
         for k in np.flatnonzero(fb[near] == ts):
             t = float(ts[k])
             if breaks[near[k]] != t:
-                cells[k] = bisect_left(breaks, t) - 1
+                cells[k] = (bisect_right if right else bisect_left)(breaks, t) - 1
     return cells.reshape(shape)
 
 
@@ -250,16 +251,20 @@ class _Cells:
         return self._at(bisect_right(self.breaks, t) - 1, t)
 
     def right_limits(self, ts):
-        """Right limits at the ascending points ``ts`` of [lo, hi)."""
-        return [self._at(j, t) for j, t in zip(_right_cells(ts, self), ts)]
+        """Right limits at the ascending points ``ts`` of [lo, hi); at float
+        points a polynomial's by ``eval_cells``, whose float Horner on
+        ``float(c)`` has ``_at``'s bits (``Fraction`` falls back to float)."""
+        cells = _right_cells(ts, self)
+        if isinstance(self, StepFn) or isinstance(cells, list):
+            return [self._at(j, t) for j, t in zip(cells, ts)]
+        return self.eval_cells(ts, cells).tolist()
 
     def jump_points(self):
         """Points where the function jumps: breaks whose left and right
         limits differ, and the base point when its value differs from the
         right limit there."""
         out, prev = [], self.base_value
-        for i in range(len(self.breaks) - 1):
-            b = self.breaks[i]
+        for i, b in enumerate(self.breaks[:-1]):
             if self._at(i, b) != prev:
                 out.append(b)
             prev = self._at(i, self.breaks[i + 1])
@@ -475,7 +480,12 @@ class StepFn(_Cells):
         return max(abs(self.base_value), max(abs(v) for v in self.values))
 
     def l1_norm(self, a=None, b=None):
-        return self.abs().integral(a, b)
+        f = self if a is None and b is None else self.restrict(
+            a if a is not None else self.lo, b if b is not None else self.hi)
+        if not f.exact:
+            return self.abs().integral(a, b)
+        acc, _, _, den = _sums(f.values, f.breaks, (f.den, f.keys), 0, absolute=True)
+        return _q(acc[-1], den)
 
     def alexiewicz_norm(self, a=None, b=None):
         """sup over subintervals of |integral|, via cumulative extrema."""
@@ -578,7 +588,8 @@ class PiecewisePoly(_Cells):
             raise DomainError("piecewise polynomials on different intervals")
         pts, lattice, ia, ib = _walk(self, other)
         coeffs = [op(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)]
-        return PiecewisePoly(pts, coeffs, op_scalar(op, self.base_value, other.base_value),
+        scalar = {_poly_add: add, _poly_mul: mul}[op]
+        return PiecewisePoly(pts, coeffs, scalar(self.base_value, other.base_value),
                              lattice=lattice)
 
     def __add__(self, other):
@@ -602,45 +613,32 @@ class PiecewisePoly(_Cells):
 
     def cumulative(self):
         coeffs = []
-        acc = Fraction(0) if self.exact else 0.0
+        zero = acc = Fraction(0) if self.exact else 0.0
         for i, c in enumerate(self.coeffs):
             anti = _poly_antiderivative(c)
             off = acc - self._horner(anti, self.breaks[i])
             coeffs.append(_poly_add(anti, (off,)))
             acc = acc + self._horner(anti, self.breaks[i + 1]) - self._horner(anti, self.breaks[i])
-        return PiecewisePoly(self.breaks, coeffs,
-                             base_value=Fraction(0) if self.exact else 0.0,
+        return PiecewisePoly(self.breaks, coeffs, base_value=zero,
                              lattice=(self.den, self.keys))
 
     def variation(self):
         """Exact total variation for cells of degree <= 2."""
-        total = 0
-        prev = self.base_value
+        total, prev = 0, self.base_value
         for i, c in enumerate(self.coeffs):
             l, r = self.breaks[i], self.breaks[i + 1]
-            jump_in = self._horner(c, l) - prev  # discontinuity entering the cell
-            total += abs(jump_in)
-            if len(c) <= 1:
-                pass
-            elif len(c) == 2:
+            total += abs(self._horner(c, l) - prev)  # the jump entering the cell
+            if len(c) == 2:
                 total += abs(c[1]) * (r - l)
             elif len(c) == 3:
                 vertex = -c[1] / (2 * c[2]) if c[2] != 0 else None
                 pts = [l] + ([vertex] if vertex is not None and l < vertex < r else []) + [r]
                 for p, q in zip(pts, pts[1:]):
                     total += abs(self._horner(c, q) - self._horner(c, p))
-            else:
+            elif len(c) > 3:
                 raise NotImplementedError("variation only for degree <= 2 cells")
             prev = self._horner(c, r)
         return total
-
-
-def op_scalar(op, a, b):
-    if op is _poly_add:
-        return a + b
-    if op is _poly_mul:
-        return a * b
-    raise AssertionError("unknown polynomial op")
 
 
 def _poly_add(c1, c2):

@@ -16,6 +16,8 @@ from leftprim.intervals import DomainError
 from leftprim.stepfn import (PiecewisePoly, StepFn, _poly_add, _poly_mul,
                              float_cells, random_stepfn)
 from leftprim.stepfn import LATTICE_BITS
+from leftprim.integral import Multiplier
+from leftprim.stepfn import _right_cells
 
 F = Fraction
 
@@ -609,3 +611,157 @@ def test_merge_above_the_bound_stays_linear():
     n, m = len(f.values), len(g.values)
     for op in (f.__add__, f.join, f.meet, f.le):
         assert comparisons(lambda: op(g)) <= 6 * (n + m)
+
+
+# -- float points: one lookup against the forward walk it replaced ----------
+
+
+def ref_right_walk(breaks, points):
+    """The forward walk right-limit cells of float points were found by: keys
+    ``float(b)``, a tie ``t == float(b)`` settled on b itself."""
+    keys, out, j = [float(b) for b in breaks], [], 0
+    for t in points:
+        while keys[j + 1] < t or keys[j + 1] == t and breaks[j + 1] <= t:
+            j += 1
+        out.append(j)
+    return out
+
+
+def tie_breaks():
+    """Exact breaks on [-1, 1] whose floats lie above (1/5, -1/3) and below
+    (1/3, -1/5) them, with dyadic ones between."""
+    return [F(-1), F(-1, 2), F(-1, 3), F(-1, 5), F(0), F(1, 5), F(1, 4), F(1, 3), F(1)]
+
+
+def tie_points(rng, breaks, k=200):
+    """Ascending float points of [lo, hi): lo itself, every float(b) and its
+    neighbours, negative ones, and seeded ones."""
+    fb = [float(b) for b in breaks]
+    pts = fb + [math.nextafter(x, 2) for x in fb] + [math.nextafter(x, -2) for x in fb]
+    pts += rng.uniform(fb[0], fb[-1], k).tolist()
+    return sorted(t for t in pts if breaks[0] <= t < breaks[-1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_right_cells_lookup_matches_the_float_walk(seed):
+    rng = np.random.default_rng(seed)
+    exact = tie_breaks()
+    floats = sorted({-1.0, 1.0}.union(float(x) for x in rng.uniform(-1, 1, 30)))
+    for breaks in (exact, floats, [F(-1), F(1, 2 ** 300), F(1, 2 ** 299), F(1)]):
+        ts = tie_points(rng, breaks)
+        assert ts[0] == breaks[0] and any(t < 0 for t in ts)
+        want = ref_right_walk(breaks, ts)
+        assert ident(float_cells(breaks, ts, True, right=True).tolist(), want)
+        f = StepFn(breaks, [F(i) for i in range(len(breaks) - 1)])
+        assert ident(_right_cells(ts, f).tolist(), want)
+    below, above = float(F(1, 3)), float(F(1, 5))  # < 1/3 and > 1/5
+    assert float_cells(exact, [below, above], True, right=True).tolist() == [6, 5]
+    assert float_cells(exact, [-1.0, -2.0], True, right=True).tolist() == [0, -1]
+
+
+def mixed_coeffs(rng, cells):
+    """Degree 0-3 cells with Fraction and int coefficients, zeros among them."""
+    def coef():
+        c = F(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+        return c if rng.integers(0, 2) else int(c * 6)
+    return [tuple(coef() for _ in range(int(rng.integers(1, 5)))) for _ in range(cells)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_poly_right_limits_at_float_points_match_scalar_horner(seed):
+    rng = np.random.default_rng(seed)
+    breaks = tie_breaks()
+    coeffs = mixed_coeffs(rng, len(breaks) - 1)
+    coeffs[3] = (0, F(0), 0)  # 0 * t for t < 0 on the way
+    p = PiecewisePoly(breaks, coeffs)
+    ts = tie_points(rng, breaks)
+    got = p.right_limits(ts)
+    assert ident(got, [ref_g_right(p, t) for t in ts])
+    assert ident(got, [p._at(j, t) for j, t in zip(ref_right_walk(breaks, ts), ts)])
+    ex = [F(-1), F(-1, 3), F(1, 5), F(2, 3)]  # exact points keep exact values
+    assert ident(p.right_limits(ex), [ref_g_right(p, t) for t in ex])
+
+
+def float_F(rng, lo, hi, n, nan=False):
+    """Float step on [lo, hi] with n cells, values of both signs (a NaN one)."""
+    cuts = sorted(set(rng.uniform(lo, hi, n - 1).tolist()) - {lo, hi})
+    values = rng.normal(size=len(cuts) + 1).tolist()
+    values[len(values) // 2] = -0.0
+    if nan:
+        values[1] = math.nan
+    return StepFn([float(lo), *cuts, float(hi)], values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stieltjes_of_float_steps_is_bit_identical_to_the_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    breaks = tie_breaks()
+    g = StepFn(breaks, [F(int(rng.integers(-4, 5)), 3) for _ in breaks[1:]], F(0))
+    ident_poly = PiecewisePoly([F(-1), F(1)], [(F(0), F(1))])
+    density = StepFn(breaks, [F(int(rng.integers(-4, 5)), 2) for _ in breaks[1:]])
+    m = Multiplier(RegulatedFn.from_step(density), F(0))
+    fg = StepFn([-1.0, -0.25, 0.5, 1.0], [math.nan, 1.5, -2.0])  # float g, NaN kept
+    snap = StepFn([-1.0, *map(float, breaks[1:-1]), 1.0],
+                  [0.5, -1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 0.0])
+    for gg, ref in ((g, g), (ident_poly, ident_poly), (g.cumulative(), g.cumulative()),
+                    (m, m.g_fn()), (fg, fg)):
+        for f in (float_F(rng, -1, 1, 300), float_F(rng, -1, 1, 40, nan=True),
+                  float_F(rng, -1, 1.5, 50), snap):  # past g's hi; breaks on float(b)
+            want = ref_stieltjes(f, ref)
+            got = gauge.stieltjes(RegulatedFn.from_step(f), gg, f.lo, f.hi)
+            assert ident(got, want), (gg, got, want)
+    with pytest.raises(DomainError):  # F reaches below g's domain
+        gauge.stieltjes(RegulatedFn.from_step(float_F(rng, -2, 1, 9)), g, -2.0, 1.0)
+
+
+def test_float_stieltjes_keeps_nan_where_g_stays_on_an_infinite_value():
+    # inf - inf is NaN inside g's middle cell; 0.0 there would sum to inf
+    g = StepFn([-1.0, -0.25, 0.5, 1.0], [1.0, math.inf, 1.0])
+    f = StepFn([-1.0, -0.5, 0.0, 0.25, 0.75, 1.0], [1.0, 2.0, 5.0, -1.0, 3.0])
+    want = ref_stieltjes(f, g)
+    assert math.isnan(want)
+    assert ident(gauge.stieltjes(RegulatedFn.from_step(f), g, -1.0, 1.0), want)
+
+
+class CountedSub(Fraction):
+    """A Fraction that counts the subtractions made on it."""
+
+    n = 0
+
+    def __sub__(self, other):
+        CountedSub.n += 1
+        return Fraction.__sub__(self, other)
+
+    def __rsub__(self, other):
+        CountedSub.n += 1
+        return Fraction.__rsub__(self, other)
+
+
+def test_float_stieltjes_subtracts_g_values_only_where_g_moves():
+    rng = np.random.default_rng(3)
+    for n, k in ((1000, 4), (10_000, 16)):
+        g = StepFn([F(i, k) for i in range(k + 1)],
+                   [CountedSub((-1) ** i * (i + 1), 3) for i in range(k)])
+        f = float_F(rng, 0, 1, n)
+        CountedSub.n = 0
+        got = gauge.stieltjes(RegulatedFn.from_step(f), g, 0.0, 1.0)
+        assert CountedSub.n <= 2 * (k + 1)
+        assert ident(got, ref_stieltjes(f, g))
+
+
+# -- the L1 norm without an abs() step ----------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_l1_norm_is_identical_to_the_integral_of_abs(seed):
+    rng = np.random.default_rng(seed)
+    steps = [dyadic_step(rng), grid_step(rng, 7, 6), grid_step(rng, 8 * 9, 9),
+             int_step(rng, int), int_step(rng, F), harmonic(rng)]
+    for h in steps:
+        assert ident(h.l1_norm(), h.abs().integral())
+        mid = (h.breaks[0] + h.breaks[1]) / 2
+        for a, b in ((h.lo, h.hi), (mid, h.hi), (h.breaks[1], h.breaks[-2]),
+                     (h.lo, mid), (mid, h.breaks[-2])):
+            if a < b:
+                assert ident(h.l1_norm(a, b), h.abs().integral(a, b))
+        assert ident(h.l1_norm(h.lo), h.l1_norm())
