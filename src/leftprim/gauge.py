@@ -187,8 +187,8 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
     by ||F - F_n||_inf Vg <= tol; exact (rational) when F is already a step
     function and g is exact step data.
     """
-    Vg = _variation_of(g)
-    gr = _resolve_bv(g)
+    gr = _resolve_bv(g)  # a Multiplier builds its g once
+    Vg = _variation_of(gr)
     if F.kind == "step":
         Fn = F.payload.restrict(Fraction(a), Fraction(b)) \
             if (a, b) != (F.payload.lo, F.payload.hi) else F.payload

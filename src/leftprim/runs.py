@@ -9,7 +9,8 @@ import numpy as np
 
 from . import systems as SY
 from .reporting import RunReport, exact_expr
-from .solver import as_grid, iterate_chain, residual, smallest_greatest
+from .solver import (as_grid, residual, smallest_greatest,
+                     uniqueness_chain, windowed_chain)
 
 
 def run_ex31(quad_tol: float = 1e-10, per_unit: int = 4096,
@@ -78,16 +79,22 @@ def run_ex31(quad_tol: float = 1e-10, per_unit: int = 4096,
 def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
              max_steps: int = 30_000) -> RunReport:
     """Fixed point of the segment-affine operator with H(t) = t^2, compared
-    with the closed form, plus the uniqueness-majorant certification."""
+    with the closed form, plus the uniqueness-majorant certification.
+
+    The up chain runs window by window (:func:`~leftprim.solver.windowed_chain`)
+    and ends in a sub/supersolution bracket of width ``bracket_width``.  The
+    bracket identifies the chain limit only where uniqueness is certified:
+    the majorant chain runs on ``uniqueness_interval`` = [0, min(T, 3)]."""
     t0 = time.time()
     H = lambda ts: np.asarray(ts, dtype=float) ** 2
     S = SY.ex01_system(H, T=T, per_unit=per_unit)
-    x, trace = iterate_chain(S, S.constant_start([-1.0]), "up", tol=1e-13,
-                             max_steps=max_steps, record_every=0)
+    # on non-dyadic grids the float checks resolve brackets of about 1e-12
+    x, _, trace = windowed_chain(S, S.constant_start([-1.0]), "up", tol=1e-12,
+                                 max_steps=max_steps, record_every=0)
     closed = SY.ex01_closed_form(H, 2.0, S.grid)
     err = float(np.max(np.abs(as_grid(x[0], S.grid) - closed)))
-    from .solver import uniqueness_chain
-    M = SY.ex01_majorant(T=min(T, 3.0), per_unit=per_unit)
+    T_unique = min(T, 3.0)
+    M = SY.ex01_majorant(T=T_unique, per_unit=per_unit)
     certified, utrace = uniqueness_chain(M, tol=tol, max_steps=max_steps)
     report = RunReport("ex01")
     report.parameters = {"T": T, "grid_per_unit": per_unit, "H": "t^2",
@@ -98,10 +105,14 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
                                      "tag": f"tol={tol}"},
                       "uniqueness_certified": bool(certified),
                       "uniqueness_omega_stages": utrace.omega_stages,
+                      "uniqueness_interval": [0, T_unique],
+                      "bracket_width": max(trace.bracket_widths),
                       "truncation_note": (
                           f"domain truncated to [0, {T}]; beyond T the fixed "
                           "point continues by the same segment recursion, "
-                          "adding i to the constant on each (i, i+1]")}
+                          "adding i to the constant on each (i, i+1]; the "
+                          "bracket identifies the chain limit only where "
+                          f"uniqueness is certified, on [0, {T_unique}]")}
     report.residuals = {"fixed_point": residual(S, x), "tag": "grid sup-norm"}
     report.stabilization = {"steps": trace.stabilization_index,
                             "omega_stages": trace.omega_stages,

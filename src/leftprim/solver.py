@@ -21,6 +21,8 @@ Every chain (up/down, envelope, bracket) runs through one loop,
 :func:`_monotone_chain`: it owns the step budget, the order check, the trace,
 the omega-stage count and the stabilization fields; each chain supplies a
 step (next iterate and grid samples), a stop rule and its omega closure.
+:func:`windowed_chain` runs that loop once per window of a causal system and
+stops each window on a sub/supersolution bracket around an extrapolate.
 """
 
 from __future__ import annotations
@@ -245,6 +247,8 @@ class IterationTrace:
     stabilization_index: int = None
     omega_stages: int = 0
     residual: float = None   # grid sup-norm of F(x) - x at the returned x
+    fallbacks: int = 0       # windows whose extrapolate did not bracket
+    bracket_widths: list = field(default_factory=list)  # per window; inf: none
 
     def add(self, label, samples):
         self.labels.append(label)
@@ -342,6 +346,137 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
         mono_eps if S.monotone else np.inf, record_every,
         f"{direction}-chain violated order by {{gap:.3e}} at step {{step}}")
     return x, trace
+
+
+_CORRECTIONS = 2   # residual corrections of each window's Aitken extrapolate
+
+
+def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
+                   tol: float = 1e-13, max_steps: int = 200,
+                   max_omega_stages: int = 8, record_every: int = 1) -> tuple:
+    """The monotone chain of a causal system, solved window by window and
+    stopped by a sub/supersolution bracket.
+
+    ``S`` must be causal (Volterra): F(x) up to a point depends only on x up
+    to that point.  The windows are the grid pieces between the system's
+    closure points, each ending at its closure point; they are solved in
+    order and frozen.  In a window, two plain steps of
+    :func:`_monotone_chain` (its order check, budget and trace) give x0, x1,
+    x2.  Pointwise, with q = d2/d1 (0 where d1 = 0 or q >= 1), the Aitken
+    extrapolate x = x1 + d2/(1 - q) takes two residual corrections
+    x += (F(x) - x)/(1 - q), and the closure point gets the left-continuity
+    repair.  The pair lo = x - delta, hi = x + delta is then widened,
+    delta doubling from a few units in the last place, until F(hi) <= hi and
+    F(lo) >= lo on the window's grid points off its closure point (in float
+    arithmetic, as every grid check here) and the chain's iterate is on the
+    near side (x2 <= hi up, lo <= x2 down).  F is evaluated on the pair's
+    own vectors, earlier windows included, so the windows' certificates
+    compose.  A bracket wider than ``tol`` * max(1, sup|x|) is
+    refused: the window then takes plain steps until two iterates are within
+    ``tol``, counts in ``trace.fallbacks`` and has lo = hi = x and width inf.
+
+    The monotone F has a fixed point between a certified pair
+    (Knaster-Tarski); the pair identifies the chain limit only where that
+    fixed point is unique.  Returns ``(x, SubSuperPair(lo, hi), trace)``;
+    ``trace.bracket_widths`` holds each window's sup width and
+    ``trace.stabilization_index`` the plain steps of all windows.
+    """
+    if direction not in ("up", "down"):
+        raise SolverDataError(
+            f"chain direction must be 'up' or 'down', not {direction!r}")
+    if not S.monotone:
+        raise SolverDataError("a bracket certificate needs a monotone system")
+    up = direction == "up"
+    sign = 1.0 if up else -1.0
+    grid = S.grid
+    cidx = sorted(closure_indices(grid, S.closure_points))
+    ends = cidx if cidx and cidx[-1] == len(grid) - 1 else cidx + [len(grid) - 1]
+
+    fns = lambda vs: [GridFn(grid, v) for v in vs]
+    F = lambda vs: [as_grid(f, grid) for f in apply_operator(S, fns(vs))]
+
+    xs = [as_grid(f, grid) for f in start]
+    lo, hi = [v.copy() for v in xs], [v.copy() for v in xs]
+    trace = IterationTrace(direction)
+    steps, delta, a = 0, 0.0, 0
+    for k, b in enumerate(ends):
+        w, own = slice(a, b + 1), [b] if b in cidx else []
+        off = slice(a, b) if own else w
+
+        def step(x, xs):
+            new = [_repair_at(own, np.concatenate([o[:a], f[w], o[b + 1:]]),
+                              o, sign) for f, o in zip(F(xs), xs)]
+            return fns(new), new
+
+        def close(xs):
+            new = [_repair_at(own, v, v, sign) for v in xs]
+            return fns(new), new
+
+        def bracket(x0, x1, x2):
+            nonlocal delta
+            c, den = [v.copy() for v in x2], []
+            for v, u0, u1, u2 in zip(c, x0, x1, x2):
+                d1, d2 = u1[w] - u0[w], u2[w] - u1[w]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    q = np.where(d1 != 0, d2 / d1, 0.0)
+                den.append(1 - np.where(q < 1, q, 0.0))
+                v[w] = u1[w] + d2 / den[-1]
+            for _ in range(_CORRECTIONS):
+                for v, f, dn in zip(c, F(c), den):
+                    v[w] += (f[w] - v[w]) / dn
+            c = [_repair_at(own, v) for v in c]
+            scale = max(1.0, *(float(np.abs(v[w]).max()) for v in c))
+            d = max(delta, 4 * np.finfo(float).eps * scale)
+            while 2 * d <= tol * scale:
+                for v, l, h in zip(c, lo, hi):
+                    l[w], h[w] = v[w] - d, v[w] + d
+                if (all(np.all(u[w] <= h[w]) if up else np.all(l[w] <= u[w])
+                        for u, l, h in zip(x2, lo, hi))
+                        and all(np.all(f[off] <= h[off])
+                                for f, h in zip(F(hi), hi))
+                        and all(np.all(f[off] >= l[off])
+                                for f, l in zip(F(lo), lo))):
+                    delta = d
+                    return c
+                d *= 2
+            return None
+
+        hist, found = [xs], [None]
+
+        def stop(x, x_new, new, diff):
+            if hist:
+                hist.append(new)
+                if len(hist) < 3:
+                    return False
+                found[0] = bracket(*hist)
+                hist.clear()
+                if found[0] is not None:
+                    return _REACHED
+                trace.fallbacks += 1
+            return diff <= tol and _SETTLED
+
+        _, xs, t = _monotone_chain(
+            direction, fns(xs), xs, step, stop, close,
+            max_steps, max_omega_stages, 1e-9, record_every,
+            f"{direction}-chain violated order by {{gap:.3e}} at step "
+            f"{{step}} of window {k + 1}")
+        if found[0] is not None:
+            xs = found[0]
+            width = max(float(np.max(h[w] - l[w])) for l, h in zip(lo, hi))
+        else:
+            for v, l, h in zip(xs, lo, hi):
+                l[w] = h[w] = v[w]
+            width = math.inf
+        trace.bracket_widths.append(width)
+        trace.labels += [f"window {k + 1} {lbl}" for lbl in t.labels]
+        trace.stages += t.stages
+        trace.omega_stages += t.omega_stages
+        steps = steps + t.stabilization_index if steps is not None and \
+            t.stabilized else None
+        a = b + 1
+    trace.stabilized = steps is not None
+    trace.stabilization_index = steps
+    return fns(xs), SubSuperPair(fns(lo), fns(hi)), trace
 
 
 def residual(S: CauchySystem, x: list) -> float:

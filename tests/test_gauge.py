@@ -121,3 +121,28 @@ def test_stieltjes_unknown_variation():
     t = B.monomial(1)
     with pytest.raises((VariationError, AttributeError)):
         stieltjes(t, object(), 0, 1)
+
+
+def test_stieltjes_builds_a_multipliers_g_once(monkeypatch):
+    from leftprim.integral import Multiplier
+
+    rng = np.random.default_rng(5)
+    cuts = sorted(set(F(int(k), 97) for k in rng.integers(1, 97, size=40)))
+    br = [F(0), *cuts, F(1)]
+    density = StepFn(br, [F(int(rng.integers(-5, 6)), 4) for _ in br[1:]])
+    m = Multiplier(RegulatedFn.from_step(density), F(1, 3))
+    calls = []
+    real = Multiplier.g_fn
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Multiplier, "g_fn", counted)
+    Fs = RegulatedFn.from_step(
+        StepFn([F(0), F(1, 5), F(1, 2), F(1)], [F(3), F(-1), F(2)]))
+    # the same values as when g was resolved twice, exact and float
+    assert stieltjes(Fs, m, F(0), F(1)) == F(-263, 3880)
+    assert len(calls) == 1
+    assert stieltjes(B.monomial(1), m, 0, 1, tol=1e-3) == 0.0028423574781909506
+    assert len(calls) == 2
