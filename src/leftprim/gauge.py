@@ -168,14 +168,6 @@ def mu_interval(g, x, y):
     return _g_right(g, y, g.hi) - _g_right(g, x, g.hi)
 
 
-def _variation_of(g):
-    g = _resolve_bv(g)
-    try:
-        return g.variation()
-    except NotImplementedError:
-        raise VariationError("total variation of g is not known")
-
-
 MAX_LEVEL = 1_000_000  # largest step level stieltjes builds for symbolic F
 
 
@@ -188,7 +180,10 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
     function and g is exact step data.
     """
     gr = _resolve_bv(g)  # a Multiplier builds its g once
-    Vg = _variation_of(gr)
+    try:
+        Vg = gr.variation()
+    except NotImplementedError:
+        raise VariationError("total variation of g is not known")
     if F.kind == "step":
         Fn = F.payload.restrict(Fraction(a), Fraction(b)) \
             if (a, b) != (F.payload.lo, F.payload.hi) else F.payload

@@ -247,7 +247,6 @@ class IterationTrace:
     stabilization_index: int = None
     omega_stages: int = 0
     residual: float = None   # grid sup-norm of F(x) - x at the returned x
-    fallbacks: int = 0       # windows whose extrapolate did not bracket
     bracket_widths: list = field(default_factory=list)  # per window; inf: none
 
     def add(self, label, samples):
@@ -348,32 +347,36 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
     return x, trace
 
 
-_CORRECTIONS = 2   # residual corrections of each window's Aitken extrapolate
+_CORRECTIONS = 2     # residual corrections of each window's Aitken extrapolate
+_BRACKET_TOL = 1e-12  # widest bracket, relative; also the fallback's step tolerance
+# (on non-dyadic grids the float checks resolve brackets of about 1e-12)
 
 
-def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
-                   tol: float = 1e-13, max_steps: int = 200,
-                   max_omega_stages: int = 8, record_every: int = 1) -> tuple:
-    """The monotone chain of a causal system, solved window by window and
-    stopped by a sub/supersolution bracket.
+def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
+    """The up chain of a causal system from a subsolution, solved window by
+    window and stopped by a sub/supersolution bracket.
 
     ``S`` must be causal (Volterra): F(x) up to a point depends only on x up
     to that point.  The windows are the grid pieces between the system's
     closure points, each ending at its closure point; they are solved in
     order and frozen.  In a window, two plain steps of
-    :func:`_monotone_chain` (its order check, budget and trace) give x0, x1,
-    x2.  Pointwise, with q = d2/d1 (0 where d1 = 0 or q >= 1), the Aitken
+    :func:`_monotone_chain` (its order check and trace) give x0, x1, x2.
+    Pointwise, with q = d2/d1 (0 where d1 = 0 or q >= 1), the Aitken
     extrapolate x = x1 + d2/(1 - q) takes two residual corrections
     x += (F(x) - x)/(1 - q), and the closure point gets the left-continuity
     repair.  The pair lo = x - delta, hi = x + delta is then widened,
     delta doubling from a few units in the last place, until F(hi) <= hi and
     F(lo) >= lo on the window's grid points off its closure point (in float
-    arithmetic, as every grid check here) and the chain's iterate is on the
-    near side (x2 <= hi up, lo <= x2 down).  F is evaluated on the pair's
-    own vectors, earlier windows included, so the windows' certificates
-    compose.  A bracket wider than ``tol`` * max(1, sup|x|) is
-    refused: the window then takes plain steps until two iterates are within
-    ``tol``, counts in ``trace.fallbacks`` and has lo = hi = x and width inf.
+    arithmetic, as every grid check here) and the chain's iterate is below
+    hi.  F is evaluated on the pair's own vectors, earlier windows included,
+    so the windows' certificates compose.  A bracket wider than
+    ``_BRACKET_TOL`` * max(1, sup|x|) is refused: the window then takes
+    plain steps until two iterates are within ``_BRACKET_TOL`` and has
+    lo = hi = x and width inf.
+
+    ``max_steps`` bounds the plain steps of all windows together.  A chain
+    that spends it returns with ``trace.stabilized`` False; the window it
+    ran out in and every later one keep their last iterate, unbracketed.
 
     The monotone F has a fixed point between a certified pair
     (Knaster-Tarski); the pair identifies the chain limit only where that
@@ -381,13 +384,8 @@ def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
     ``trace.bracket_widths`` holds each window's sup width and
     ``trace.stabilization_index`` the plain steps of all windows.
     """
-    if direction not in ("up", "down"):
-        raise SolverDataError(
-            f"chain direction must be 'up' or 'down', not {direction!r}")
     if not S.monotone:
         raise SolverDataError("a bracket certificate needs a monotone system")
-    up = direction == "up"
-    sign = 1.0 if up else -1.0
     grid = S.grid
     cidx = sorted(closure_indices(grid, S.closure_points))
     ends = cidx if cidx and cidx[-1] == len(grid) - 1 else cidx + [len(grid) - 1]
@@ -397,19 +395,21 @@ def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
 
     xs = [as_grid(f, grid) for f in start]
     lo, hi = [v.copy() for v in xs], [v.copy() for v in xs]
-    trace = IterationTrace(direction)
-    steps, delta, a = 0, 0.0, 0
+    trace = IterationTrace("up")
+    taken, steps, delta, a = 0, 0, 0.0, 0
     for k, b in enumerate(ends):
         w, own = slice(a, b + 1), [b] if b in cidx else []
         off = slice(a, b) if own else w
 
         def step(x, xs):
+            nonlocal taken
+            taken += 1
             new = [_repair_at(own, np.concatenate([o[:a], f[w], o[b + 1:]]),
-                              o, sign) for f, o in zip(F(xs), xs)]
+                              o, 1.0) for f, o in zip(F(xs), xs)]
             return fns(new), new
 
         def close(xs):
-            new = [_repair_at(own, v, v, sign) for v in xs]
+            new = [_repair_at(own, v, v, 1.0) for v in xs]
             return fns(new), new
 
         def bracket(x0, x1, x2):
@@ -427,11 +427,10 @@ def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
             c = [_repair_at(own, v) for v in c]
             scale = max(1.0, *(float(np.abs(v[w]).max()) for v in c))
             d = max(delta, 4 * np.finfo(float).eps * scale)
-            while 2 * d <= tol * scale:
+            while 2 * d <= _BRACKET_TOL * scale:
                 for v, l, h in zip(c, lo, hi):
                     l[w], h[w] = v[w] - d, v[w] + d
-                if (all(np.all(u[w] <= h[w]) if up else np.all(l[w] <= u[w])
-                        for u, l, h in zip(x2, lo, hi))
+                if (all(np.all(u[w] <= h[w]) for u, h in zip(x2, hi))
                         and all(np.all(f[off] <= h[off])
                                 for f, h in zip(F(hi), hi))
                         and all(np.all(f[off] >= l[off])
@@ -452,14 +451,12 @@ def windowed_chain(S: CauchySystem, start: list, direction: str = "up",
                 hist.clear()
                 if found[0] is not None:
                     return _REACHED
-                trace.fallbacks += 1
-            return diff <= tol and _SETTLED
+            return diff <= _BRACKET_TOL and _SETTLED
 
         _, xs, t = _monotone_chain(
-            direction, fns(xs), xs, step, stop, close,
-            max_steps, max_omega_stages, 1e-9, record_every,
-            f"{direction}-chain violated order by {{gap:.3e}} at step "
-            f"{{step}} of window {k + 1}")
+            "up", fns(xs), xs, step, stop, close, max_steps - taken, 0, 1e-9,
+            0, f"up-chain violated order by {{gap:.3e}} at step {{step}} of "
+            f"window {k + 1}")
         if found[0] is not None:
             xs = found[0]
             width = max(float(np.max(h[w] - l[w])) for l, h in zip(lo, hi))

@@ -18,9 +18,12 @@ H = lambda ts: np.asarray(ts, dtype=float) ** 2
 
 def _ex01(T, per_unit):
     S = SY.ex01_system(H, T=T, per_unit=per_unit)
-    x, pair, trace = windowed_chain(S, S.constant_start([-1.0]), "up",
-                                    tol=1e-13, max_steps=30_000, record_every=0)
+    x, pair, trace = windowed_chain(S, S.constant_start([-1.0]), 30_000)
     return S, x, pair, trace
+
+
+def _fallbacks(trace):
+    return sum(map(math.isinf, trace.bracket_widths))
 
 
 def _closed_error(S, x):
@@ -35,7 +38,7 @@ def test_closed_form_error_is_no_worse_than_the_plain_chain(T, per_unit):
                            max_steps=30_000, record_every=0)
     assert _closed_error(S, x) <= _closed_error(S, ref)
     windows = math.ceil(T)
-    assert trace.fallbacks == 0 and len(trace.bracket_widths) == windows
+    assert _fallbacks(trace) == 0 and len(trace.bracket_widths) == windows
     assert trace.stabilized and trace.stabilization_index == 2 * windows
 
 
@@ -46,14 +49,14 @@ def test_an_irregular_closure_gap_falls_back_to_the_plain_chain():
     S, x, _, trace = _ex01(1.5, 255)
     ref, _ = iterate_chain(S, S.constant_start([-1.0]), "up", tol=1e-13,
                            max_steps=30_000, record_every=0)
-    assert trace.fallbacks == 1 and trace.bracket_widths[0] == math.inf
+    assert trace.bracket_widths[0] == math.inf and _fallbacks(trace) == 1
     assert _closed_error(S, x) <= _closed_error(S, ref) + 1e-12  # 5.0e-6 each
 
 
 def test_long_horizon_stays_on_the_closed_form():
     S, x, _, trace = _ex01(50, 256)
     assert _closed_error(S, x) <= 1e-9
-    assert trace.fallbacks == 0 and len(trace.bracket_widths) == 50
+    assert _fallbacks(trace) == 0 and len(trace.bracket_widths) == 50
 
 
 def test_prefix_is_bit_identical_to_the_shorter_run():
@@ -79,14 +82,17 @@ def test_pair_is_a_sub_supersolution_with_its_own_anchors(T, per_unit):
     assert max(trace.bracket_widths) == float(np.max(hi - lo)) <= 1e-12
 
 
-def test_down_chain_meets_the_up_chain():
-    S, x, _, _ = _ex01(3, 64)
-    closed = SY.ex01_closed_form(H, 2.0, S.grid)
-    y, pair, trace = windowed_chain(S, [GridFn(S.grid, closed + 1 + S.grid)],
-                                    "down", record_every=0)
-    assert np.array_equal(y[0].values, x[0].values)
-    assert trace.fallbacks == 0
-    assert np.all(pair.lower[0].values <= y[0].values)
+def test_the_step_budget_is_shared_by_the_windows():
+    # window 1 brackets after its two steps, window 2 gets the one step left
+    # and window 3 none: both stay unbracketed and the chain unstabilized
+    S = SY.ex01_system(H, T=3, per_unit=64)
+    x, pair, trace = windowed_chain(S, S.constant_start([-1.0]), 3)
+    assert not trace.stabilized and trace.stabilization_index is None
+    assert trace.bracket_widths[0] <= 1e-12
+    assert trace.bracket_widths[1:] == [math.inf, math.inf]
+    third = (S.grid > 2) & (S.grid < 3)
+    assert np.all(x[0].values[third] == -1.0)
+    assert np.array_equal(pair.lower[0].values[third], x[0].values[third])
 
 
 def test_a_mildly_nonlinear_window_brackets_through_the_corrections():
@@ -99,8 +105,8 @@ def test_a_mildly_nonlinear_window_brackets_through_the_corrections():
         return GridFn(grid, 0.5 * grid * (v + 1e-6 * v * v) + grid ** 2)
 
     S = SV.CauchySystem(1, [phi], [0.0], Interval(0, 1 + 1e-9), grid)
-    x, pair, trace = windowed_chain(S, S.constant_start([0.0]), "up")
-    assert trace.fallbacks == 0 and trace.stabilization_index == 2
+    x, pair, trace = windowed_chain(S, S.constant_start([0.0]), 200)
+    assert _fallbacks(trace) == 0 and trace.stabilization_index == 2
     assert trace.bracket_widths[0] <= 1e-13
     f_lo, f_hi = (SV.apply_operator(S, p)[0].values for p in (pair.lower, pair.upper))
     assert np.all(f_hi <= pair.upper[0].values) and np.all(f_lo >= pair.lower[0].values)
@@ -110,11 +116,10 @@ def test_a_mildly_nonlinear_window_brackets_through_the_corrections():
 def test_a_random_system_falls_back_and_converges():
     S = SY.random_monotone_system(np.random.default_rng(11), m=2)
     pair = SV.bounds_to_subsuper(S, *SY.order_bounds_for_random(S))
-    x, got, trace = windowed_chain(S, pair.lower, "up", tol=1e-11,
+    x, got, trace = windowed_chain(S, pair.lower, 300)
+    ref, ref_trace = iterate_chain(S, pair.lower, "up", tol=1e-12,
                                    max_steps=300)
-    ref, ref_trace = iterate_chain(S, pair.lower, "up", tol=1e-11,
-                                   max_steps=300)
-    assert trace.fallbacks == 1 and trace.bracket_widths == [math.inf]
+    assert trace.bracket_widths == [math.inf]
     assert trace.stabilized
     assert trace.stabilization_index == ref_trace.stabilization_index
     for a, b, lo, hi in zip(x, ref, got.lower, got.upper):
@@ -128,16 +133,14 @@ def test_an_order_violation_raises():
     down = lambda x: GridFn(grid, x[0].values - 1.0)
     S = SV.CauchySystem(1, [down], [0.0], Interval(0, 1 + 1e-9), grid)
     with pytest.raises(SV.MonotonicityError, match="step 1 of window 1"):
-        windowed_chain(S, S.constant_start([0.0]), "up")
+        windowed_chain(S, S.constant_start([0.0]), 200)
 
 
-def test_bad_input_is_refused():
+def test_a_system_not_declared_monotone_is_refused():
     S = SY.ex01_system(H, T=2, per_unit=16)
-    with pytest.raises(SV.SolverDataError):
-        windowed_chain(S, S.constant_start([-1.0]), "sideways")
     S.monotone = False
     with pytest.raises(SV.SolverDataError):
-        windowed_chain(S, S.constant_start([-1.0]), "up")
+        windowed_chain(S, S.constant_start([-1.0]), 200)
 
 
 # -- what run_ex01 says the certificates cover ------------------------------------------
