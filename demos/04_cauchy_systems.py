@@ -33,7 +33,9 @@ print("sup error against the closed form:",
 print("value at t=1 (the left-limit redefinition):",
       rep.outputs["value_at_1"]["decimal"])
 print("uniqueness majorant certified:", rep.outputs["uniqueness_certified"],
-      "after", rep.outputs["uniqueness_omega_stages"], "omega stages")
+      "on", rep.outputs["uniqueness_interval"], "with envelope bound",
+      rep.outputs["uniqueness_bound"], "in",
+      rep.stabilization["uniqueness_steps"], "operator applications")
 
 print("\n== a watchable uniqueness chain ==")
 M = SY.ex01_majorant(T=3, per_unit=64)

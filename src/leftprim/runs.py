@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import numpy as np
 
 from . import systems as SY
 from .reporting import RunReport, exact_expr
-from .solver import (as_grid, residual, smallest_greatest,
-                     uniqueness_chain, windowed_chain)
+from .solver import (as_grid, residual, smallest_greatest, windowed_chain,
+                     windowed_envelope)
 
 
 def run_ex31(quad_tol: float = 1e-10, per_unit: int = 4096,
@@ -83,19 +84,22 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
 
     The up chain runs window by window (:func:`~leftprim.solver.windowed_chain`)
     and ends in a sub/supersolution bracket of width ``bracket_width``;
-    ``max_steps`` bounds its plain steps over all windows together, and each
-    stage of the majorant chain.  The bracket identifies the chain limit only
-    where uniqueness is certified: the majorant chain runs on
-    ``uniqueness_interval`` = [0, min(T, 3)]."""
+    ``max_steps`` bounds its plain steps over all windows together, and the
+    operator applications of the envelope certificate.  The bracket identifies
+    the chain limit only where uniqueness is certified:
+    :func:`~leftprim.solver.windowed_envelope` bounds the difference of any
+    two solutions by ``uniqueness_bound`` on ``uniqueness_interval`` =
+    [0, horizon], which is [0, T] when every window contracts."""
     t0 = time.time()
     H = lambda ts: np.asarray(ts, dtype=float) ** 2
     S = SY.ex01_system(H, T=T, per_unit=per_unit)
     x, _, trace = windowed_chain(S, S.constant_start([-1.0]), max_steps)
     closed = SY.ex01_closed_form(H, 2.0, S.grid)
     err = float(np.max(np.abs(as_grid(x[0], S.grid) - closed)))
-    T_unique = min(T, 3.0)
-    M = SY.ex01_majorant(T=T_unique, per_unit=per_unit)
-    certified, utrace = uniqueness_chain(M, tol=tol, max_steps=max_steps)
+    M = SY.ex01_majorant(T=T, per_unit=per_unit)
+    horizon, _, utrace = windowed_envelope(M, tol=tol, max_steps=max_steps)
+    bound = max((w for w in utrace.bracket_widths if w < math.inf),
+                default=math.inf)
     report = RunReport("ex01")
     report.parameters = {"T": T, "grid_per_unit": per_unit, "H": "t^2",
                          "tol": tol}
@@ -103,16 +107,17 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
                       "value_at_1": {"exact": "H(1)-H'_-(1) = -1",
                                      "decimal": f"{float(as_grid(x[0], S.grid)[int(np.searchsorted(S.grid, 1.0))]):.12f}",
                                      "tag": f"tol={tol}"},
-                      "uniqueness_certified": bool(certified),
+                      "uniqueness_certified": utrace.stabilized,
                       "uniqueness_omega_stages": utrace.omega_stages,
-                      "uniqueness_interval": [0, T_unique],
+                      "uniqueness_interval": [0, horizon],
+                      "uniqueness_bound": bound,
                       "bracket_width": max(trace.bracket_widths),
                       "truncation_note": (
                           f"domain truncated to [0, {T}]; beyond T the fixed "
                           "point continues by the same segment recursion, "
                           "adding i to the constant on each (i, i+1]; the "
                           "bracket identifies the chain limit only where "
-                          f"uniqueness is certified, on [0, {T_unique}]")}
+                          f"uniqueness is certified, on [0, {horizon}]")}
     report.residuals = {"fixed_point": residual(S, x), "tag": "grid sup-norm"}
     report.stabilization = {"steps": trace.stabilization_index,
                             "omega_stages": trace.omega_stages,

@@ -22,7 +22,9 @@ Every chain (up/down, envelope, bracket) runs through one loop,
 the omega-stage count and the stabilization fields; each chain supplies a
 step (next iterate and grid samples), a stop rule and its omega closure.
 :func:`windowed_chain` runs that loop once per window of a causal system and
-stops each window on a sub/supersolution bracket around an extrapolate.
+stops each window on a sub/supersolution bracket around an extrapolate;
+:func:`windowed_envelope` bounds a causal uniqueness envelope window by
+window with a contraction certificate.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class OrderBoundError(ValueError):
 
 class FixedPointError(RuntimeError):
     """A chain limit is not a fixed point within the residual tolerance."""
+
+
+class SublinearityError(OrderBoundError):
+    """A majorant operator fails a subadditivity or homogeneity spot check."""
 
 
 class SolverDataError(ValueError):
@@ -667,7 +673,16 @@ def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
 
 @dataclass
 class MajorantOp:
-    """Increasing envelope operator with its starting envelope."""
+    """Increasing envelope operator with its starting envelope.
+
+    Every difference d = |x - y| of two solutions is assumed to satisfy
+    0 <= d <= ``w0`` and d <= G(d).  :func:`windowed_envelope` needs G
+    increasing, causal (G(w) up to a grid point depends only on w up to that
+    point) and sublinear up to a nonnegative constant: G(0) >= 0, and
+    S = G - G(0) is subadditive, S(u + v) <= S(u) + S(v), and positively
+    homogeneous, S(lam u) = lam S(u) for lam >= 0.  A linear G (G(0) = 0,
+    as ``ex01_majorant``) is the usual case; the constant covers defect
+    inequalities d <= c + S(d)."""
 
     G: object                 # maps GridFn -> GridFn (or arrays)
     w0: object
@@ -683,6 +698,31 @@ class MajorantOp:
                          [self.G(GridFn(self.grid, v))], self.grid,
                          "majorant operator is not increasing")
 
+    def spot_check_sublinear(self, rng=None, cases: int = 5):
+        """G(0) >= 0, and S = G - G(0) subadditive and positively
+        homogeneous on random nonnegative envelopes, within 1e-9 relative to
+        the images' size; a failure raises :class:`SublinearityError`."""
+        rng = rng or np.random.default_rng(0)
+        g = self.grid
+        G = lambda v: as_grid(self.G(GridFn(g, v)), g)
+        zero = np.zeros(len(g))
+        g0 = G(zero)
+        _check_order([zero], [g0], g, "majorant operator is negative at 0",
+                     1e-9, SublinearityError)
+        for _ in range(cases):
+            u = np.abs(rng.normal(size=len(g)))
+            v = np.abs(rng.normal(size=len(g)))
+            lam = rng.uniform(0, 4)
+            su, sv, suv, slu = (G(w) - g0 for w in (u, v, u + v, lam * u))
+            tol = 1e-9 * max(1.0, *(float(np.max(np.abs(x)))
+                                    for x in (su, sv, suv, slu)))
+            _check_order([suv], [su + sv], g,
+                         "majorant operator is not subadditive", tol,
+                         SublinearityError)
+            _check_order([slu, lam * su], [lam * su, slu], g,
+                         "majorant operator is not positively homogeneous",
+                         tol, SublinearityError)
+
 
 def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
                      max_steps: int = 100_000, max_omega_stages: int = 8,
@@ -695,6 +735,12 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
     slowest modes decay by about value*spacing per step next to a branch
     point) an omega-stage applies the pointwise-inf closure (left-continuity
     repair at declared branch points) and iteration resumes.
+
+    The omega closure sets a branch point to the signed grid extrapolation
+    3 w(b-1) - 3 w(b-2) + w(b-3) of the iterate, which can fall below an
+    envelope's value there: it is a surrogate, not a bound.  The chain is
+    kept as the reference; :func:`windowed_envelope` certifies the same
+    envelopes with a sound closure bound.
     """
     M.spot_check_increasing()
     grid = M.grid
@@ -722,6 +768,90 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
         0, "envelope chain is not decreasing")
     trace.stabilized = trace.stabilized or bool(float(np.max(w)) <= tol)
     return trace.stabilized, trace
+
+
+def windowed_envelope(M: MajorantOp, tol: float = 1e-9,
+                      max_steps: int = 10_000) -> tuple:
+    """Bound every envelope d (0 <= d <= w0, d <= G(d)) window by window with
+    a contraction certificate.
+
+    ``M`` must meet the :class:`MajorantOp` contract (spot-checked here).
+    The windows are the grid pieces between the closure points, as in
+    :func:`windowed_chain`, solved in order with the bound B of the earlier
+    windows frozen.  On a window W (its closure point left out) two operator
+    applications give the inflow c = G(B on the earlier windows, 0 after)|W
+    and the linear part L(s) = G(s on W, 0 elsewhere)|W of a positive s,
+    starting from w0|W (1 where w0 <= 0).
+    While theta = max L(s)/s is not below 1, normalised power steps
+    s <- s + L(s)/theta (positive, and theta never rises under the contract)
+    try to lower it; a step that does not lower theta ends the attempt.
+    With theta < 1 and gamma = max c/s, every envelope has
+    d|W <= gamma s + theta max(d/s) s, so d|W <= min(w0, gamma/(1 - theta) s)
+    (Collatz-Wielandt); G's pointwise action at a closure point b is not
+    used, and b gets the left-continuity bound
+    min(w0, 3B(b-1) + 3B(b-2) + B(b-3)), valid for the package's quadratic
+    closure because d >= 0.  A window that keeps theta >= 1 (or a NaN
+    theta or gamma) ends the certified horizon.
+
+    ``max_steps`` bounds the operator applications of all windows together
+    (the spot checks aside).  Returns ``(horizon, envelope, trace)``: the
+    grid point ending the last certified window (the grid start when none
+    is), the bound as a GridFn (inf past the horizon), and a trace whose
+    ``bracket_widths`` hold each window's sup bound (inf: uncertified),
+    ``stabilization_index`` the operator applications and ``stabilized``
+    whether every window is certified with bound <= ``tol``.
+    """
+    M.spot_check_increasing()
+    M.spot_check_sublinear()
+    grid = M.grid
+    n = len(grid)
+    cidx = sorted(closure_indices(grid, M.closure_points))
+    ends = cidx if cidx and cidx[-1] == n - 1 else cidx + [n - 1]
+    w0 = as_grid(M.w0, grid)
+    env = np.full(n, math.inf)
+    trace = IterationTrace("down")
+    applied = 0
+
+    def G(x, w):  # one application, read on the window w
+        nonlocal applied
+        applied += 1
+        return as_grid(M.G(GridFn(grid, x)), grid)[w]
+
+    def on(w, v):  # v on w, 0 elsewhere
+        x = np.zeros(n)
+        x[w] = v
+        return x
+
+    a = 0
+    for b in ends:
+        if applied + 2 > max_steps:
+            break
+        w = slice(a, b) if b in cidx else slice(a, b + 1)
+        c = G(on(slice(0, a), env[:a]), w)
+        s = np.where(w0[w] > 0, w0[w], 1.0)
+        ls = G(on(w, s), w)
+        theta = float(np.max(ls / s, initial=0.0))
+        while math.isfinite(theta) and theta >= 1 and applied < max_steps:
+            s_new = s + ls / theta
+            s_new /= float(np.max(s_new))
+            ls_new = G(on(w, s_new), w)
+            th = float(np.max(ls_new / s_new, initial=0.0))
+            if not th < theta:
+                break
+            s, ls, theta = s_new, ls_new, th
+        gamma = float(np.max(c / s, initial=0.0))
+        if not (theta < 1 and gamma < math.inf):
+            break
+        env[w] = np.minimum(w0[w], gamma / (1 - theta) * s)
+        if w.stop == b:
+            env[b] = min(w0[b], 3 * env[b - 1] + 3 * env[b - 2] + env[b - 3])
+        trace.bracket_widths.append(float(np.max(env[a:b + 1])))
+        a = b + 1
+    trace.bracket_widths += [math.inf] * (len(ends) - len(trace.bracket_widths))
+    trace.stabilization_index = applied
+    trace.stabilized = max(trace.bracket_widths) <= tol
+    horizon = float(grid[a - 1] if a else grid[0])
+    return horizon, GridFn(grid, env), trace
 
 
 def reduce_higher_order(m: int, g_map, c: list, interval: Interval,

@@ -11,7 +11,8 @@ from leftprim import solver as SV
 from leftprim import systems as SY
 from leftprim.cli import main
 from leftprim.runs import run_ex01
-from leftprim.solver import GridFn, closure_repair, iterate_chain, uniqueness_chain
+from leftprim.solver import (GridFn, closure_repair, iterate_chain, uniqueness_chain,
+                             windowed_envelope)
 
 H = lambda ts: np.asarray(ts, dtype=float) ** 2
 CASES = [(T, per_unit) for T in (1, 2.5, 3, 5) for per_unit in (8, 256)]
@@ -174,8 +175,8 @@ def test_sample_on_own_grid_returns_values():
 
 def test_ex01_report_counts_uniqueness_steps(capsys):
     rep = run_ex01(T=2.0, per_unit=64)
-    _, utrace = uniqueness_chain(SY.ex01_majorant(T=2.0, per_unit=64),
-                                 tol=1e-9, max_steps=30_000)
+    _, _, utrace = windowed_envelope(SY.ex01_majorant(T=2.0, per_unit=64),
+                                     tol=1e-9, max_steps=30_000)
     stab = rep.stabilization
     assert set(stab) == {"steps", "omega_stages", "uniqueness_steps"}
     assert stab["uniqueness_steps"] == utrace.stabilization_index > 0

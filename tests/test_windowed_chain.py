@@ -146,8 +146,8 @@ def test_a_system_not_declared_monotone_is_refused():
 # -- what run_ex01 says the certificates cover ------------------------------------------
 
 
-@pytest.mark.parametrize("T,per_unit,covered", [(5.0, 256, 3.0), (2.0, 256, 2.0),
-                                                (5.0, 300, 3.0)])  # non-dyadic
+@pytest.mark.parametrize("T,per_unit,covered", [(5.0, 256, 5.0), (2.0, 256, 2.0),
+                                                (5.0, 300, 5.0)])  # non-dyadic
 def test_ex01_reports_the_uniqueness_interval(T, per_unit, covered):
     rep = run_ex01(T=T, per_unit=per_unit)
     out = rep.outputs
