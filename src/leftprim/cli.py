@@ -16,10 +16,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import builders as B
+from . import gauge, intervals, quadrature, solver, stepfn, symbolic
 from . import suites as SU
 from .funcspace import integrate_regulated, norm
 from .gauge import VariationError, stieltjes
 from .reporting import (RunReport, export, load_config, stepfn_from_doc)
+
+# the package's typed errors: reported as one stderr line, exit code 1
+_ERRORS = (intervals.DomainError, symbolic.SecondKindLimit, stepfn.StepDataError,
+           quadrature.EstimationError, quadrature.IntegrabilityError,
+           gauge.PartitionError, solver.MonotonicityError,
+           solver.OrderBoundError, solver.FixedPointError,
+           solver.SolverDataError)
 
 
 def _common(p):
@@ -256,7 +264,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_suite)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ERRORS as exc:
+        print(f"leftprim {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

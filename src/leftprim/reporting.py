@@ -131,24 +131,24 @@ def dump_config(doc: dict, path):
 
 def export_function_csv(f: RegulatedFn, out, grid: int = 256):
     """Sampled rows t,value; jumps contribute a (t, left value) row and a
-    (t+, right limit) row.  Right limits that do not exist are left blank."""
+    (t+, right limit) row.  Right limits that do not exist are left blank.
+
+    Cost: one ``f.sample`` pass over all rows, plus one scalar right limit
+    per jump."""
     lo, hi = float(f.interval.lo), float(f.interval.hi)
     jumps = sorted(float(j) for j in f.jumps())
-    ts = np.linspace(lo, hi, grid + 1)
+    ts = np.unique(np.concatenate([np.linspace(lo, hi, grid + 1),
+                                   np.array(jumps)]))
     rows = []
     jset = set(jumps)
-    for t in np.unique(np.concatenate([ts, np.array(jumps)])):
-        rows.append((_fmt_t(t), repr(float(f.value(t)))))
+    for t, v in zip(ts.tolist(), f.sample(ts).tolist()):
+        rows.append((repr(t), repr(v)))
         if t in jset and t < hi:
             r = f.right_limit(t)
-            rows.append((_fmt_t(t) + "+", "" if r is None else repr(float(r))))
+            rows.append((repr(t) + "+", "" if r is None else repr(float(r))))
     w = csv.writer(out)
     w.writerow(["t", "value"])
     w.writerows(rows)
-
-
-def _fmt_t(t: float) -> str:
-    return repr(float(t))
 
 
 def export_trace_csv(trace: IterationTrace, grid, out, thin: int = 1):

@@ -54,21 +54,21 @@ def _rationals_in(lo, hi, den):
     return [Fraction(k, den) for k in range(lo_n, hi_n + 1)]
 
 
-def _frac_parts(t, n, side):
-    """(phi, at_jump) for phi = n*t - floor(n*t) with left-branch convention."""
+def _frac_phi(t, n, side):
+    """phi = n*t - floor(n*t) with the left-branch convention: 1.0 at a jump,
+    0.0 there when the right limit is asked (side > 0)."""
     if isinstance(t, (Fraction, int)):
         z = Fraction(t) * n
-        fl = math.floor(z)
-        phi = z - fl
+        phi = z - math.floor(z)
         if phi == 0:
-            return (1.0, True) if side <= 0 else (0.0, True)
-        return (float(phi), False)
+            return 1.0 if side <= 0 else 0.0
+        return float(phi)
     z = float(t) * n
     phi = z - math.floor(z)
     if phi < SNAP * n or phi > 1 - SNAP * n:
         # within float noise of a jump: left branch unless a right limit is asked
-        return ((1.0, True) if side <= 0 else (0.0, True))
-    return (phi, False)
+        return 1.0 if side <= 0 else 0.0
+    return phi
 
 
 def _frac_array(ts, n):
@@ -277,7 +277,9 @@ class Monomial(Expr):
         self.k = k
 
     def ev(self, t, side=0):
-        return float(t) ** self.k
+        # numpy's power on a 0-d array, not the float's libm pow: the two
+        # differ in the last bit at some t
+        return float(self.ev_array(float(t)))
 
     def ev_array(self, ts):
         return np.asarray(ts, dtype=float) ** self.k
@@ -351,16 +353,15 @@ class FloorRight(Expr):
 class SeriesTerm(Expr):
     """Common machinery for terms built on phi = frac(n t).
 
-    Subclasses give the term's profile ``g`` (scalar and array forms) and,
-    for the generic bounds, ``g_sup`` / ``g_lip``: array bounds of |g| and of
-    its Lipschitz constant over phi-ranges (phi_lo, phi_hi].
+    Subclasses give the term's profile kernel ``g_array``, one formula that
+    serves arrays and, through ``ev``, single points alike (so both paths
+    round identically), and, for the generic bounds, ``g_sup`` / ``g_lip``:
+    array bounds of |g| and of its Lipschitz constant over phi-ranges
+    (phi_lo, phi_hi].
     """
 
     def __init__(self, n):
         self.n = n
-
-    def g(self, phi):
-        raise NotImplementedError
 
     def g_array(self, phi):
         raise NotImplementedError
@@ -374,12 +375,12 @@ class SeriesTerm(Expr):
     continuous = False
 
     def ev(self, t, side=0):
-        phi, at_jump = _frac_parts(t, self.n, side)
+        phi = _frac_phi(t, self.n, side)
         if phi == 0.0:
             if self.continuous:
-                return self.g(0.0)
+                return 0.0
             raise SecondKindLimit(f"no right limit at jump of order-{self.n} term")
-        return self.g(phi)
+        return float(self.g_array(phi))
 
     def ev_array(self, ts):
         return self.g_array(_frac_array(np.asarray(ts, dtype=float), self.n))
@@ -412,10 +413,6 @@ class OscCosTerm(SeriesTerm):
     every jump of phi.
     """
 
-    def g(self, phi):
-        a = math.pi / (2 * phi)
-        return (2 * phi * math.cos(a) + (math.pi / 2) * math.sin(a)) / self.n ** 2
-
     def g_array(self, phi):
         a = math.pi / (2 * phi)
         return (2 * phi * np.cos(a) + (math.pi / 2) * np.sin(a)) / self.n ** 2
@@ -432,13 +429,10 @@ class SmoothSquareCosTerm(SeriesTerm):
 
     continuous = True
 
-    def g(self, phi):
-        if phi == 0.0:
-            return 0.0
-        return (phi ** 2) * math.cos(math.pi / (2 * phi)) / self.n ** 3
-
     def g_array(self, phi):
-        return (phi ** 2) * np.cos(math.pi / (2 * phi)) / self.n ** 3
+        # the product, not phi ** 2: on a float, ** calls libm pow, which
+        # differs from the product in the last bit at some phi
+        return (phi * phi) * np.cos(math.pi / (2 * phi)) / self.n ** 3
 
     def g_sup(self, phi_lo, phi_hi):
         return phi_hi ** 2 / self.n ** 3
@@ -455,10 +449,6 @@ class SmoothSquareCosTerm(SeriesTerm):
 
 class HardOscTerm(SeriesTerm):
     """cos(pi/(2 phi)) + (pi/(2 phi)) sin(pi/(2 phi)): unbounded, conditional."""
-
-    def g(self, phi):
-        a = math.pi / (2 * phi)
-        return math.cos(a) + a * math.sin(a)
 
     def g_array(self, phi):
         a = math.pi / (2 * phi)
@@ -480,11 +470,6 @@ class SmoothPhiCosTerm(SeriesTerm):
 
     continuous = True
 
-    def g(self, phi):
-        if phi == 0.0:
-            return 0.0
-        return phi * math.cos(math.pi / (2 * phi)) / self.n
-
     def g_array(self, phi):
         return phi * np.cos(math.pi / (2 * phi)) / self.n
 
@@ -497,9 +482,6 @@ class SmoothPhiCosTerm(SeriesTerm):
 
 class SqrtRecipTerm(SeriesTerm):
     """1 / (2 sqrt(phi)): absolutely integrable power singularity."""
-
-    def g(self, phi):
-        return 0.5 / math.sqrt(phi)
 
     def g_array(self, phi):
         return 0.5 / np.sqrt(phi)
@@ -522,7 +504,7 @@ class SqrtFloorTerm(SeriesTerm):
     continuous = True
 
     def ev(self, t, side=0):
-        phi, at_jump = _frac_parts(t, self.n, side)
+        phi = _frac_phi(t, self.n, side)
         fl = FloorRight(self.n).ev(t, side)
         return (fl + math.sqrt(phi)) / self.n
 
@@ -550,11 +532,8 @@ class LeftFracTerm(SeriesTerm):
         self.p = p
 
     def ev(self, t, side=0):
-        phi, _ = _frac_parts(t, self.n, side)
-        if phi == 0.0:
-            # right limit at a jump
-            return 0.0
-        return phi / self.n ** self.p
+        # phi is 0.0 for the right limit at a jump, so the value is 0.0 there
+        return _frac_phi(t, self.n, side) / self.n ** self.p
 
     def ev_array(self, ts):
         return _frac_array(np.asarray(ts, dtype=float), self.n) / self.n ** self.p
@@ -581,20 +560,21 @@ class Shape(Expr):
             raise ValueError(f"unsupported trig factor {trig!r}")
         self.trig = trig
         self.sign = sign
-        self._f = math.sin if trig == "sin" else math.cos
-        self._fa = np.sin if trig == "sin" else np.cos
+        self._f = np.sin if trig == "sin" else np.cos
+
+    def _kernel(self, t):
+        """The value for t > SNAP; one formula for points and arrays."""
+        return t * (1 + self.sign * self._f(1.0 / t))
 
     def ev(self, t, side=0):
         t = float(t)
-        if t <= SNAP:
-            return 0.0
-        return t * (1 + self.sign * self._f(1.0 / t))
+        return 0.0 if t <= SNAP else float(self._kernel(t))
 
     def ev_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
         m = ts > SNAP
-        out[m] = ts[m] * (1 + self.sign * self._fa(1.0 / ts[m]))
+        out[m] = self._kernel(ts[m])
         return out
 
     def osc_bound_array(self, us, vs):
@@ -627,26 +607,25 @@ class GFactor(Expr):
     def primitive_shape(self) -> Shape:
         return Shape("sin", -1) if self.kind == "A" else Shape("cos", +1)
 
+    def _kernel(self, r):
+        """The value at t = 1/r > SNAP; one formula for points and arrays."""
+        if self.kind == "A":
+            return r * np.cos(r) - np.sin(r) + 1
+        return r * np.sin(r) + np.cos(r) + 1
+
     def ev(self, t, side=0):
         t = float(t)
         if t <= SNAP:
             if side > 0:
                 raise SecondKindLimit("no right limit at 0")
             return 0.0
-        r = 1.0 / t
-        if self.kind == "A":
-            return r * math.cos(r) - math.sin(r) + 1
-        return r * math.sin(r) + math.cos(r) + 1
+        return float(self._kernel(1.0 / t))
 
     def ev_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
         m = ts > SNAP
-        r = 1.0 / ts[m]
-        if self.kind == "A":
-            out[m] = r * np.cos(r) - np.sin(r) + 1
-        else:
-            out[m] = r * np.sin(r) + np.cos(r) + 1
+        out[m] = self._kernel(1.0 / ts[m])
         return out
 
     def osc_bound_array(self, us, vs):
@@ -856,8 +835,7 @@ class AbsExpr(_Composite):
 class SmoothWrap(_Composite):
     """sin/cos/arctan/tanh of an inner expression (all 1-Lipschitz)."""
 
-    _FNS = {"sin": (math.sin, np.sin), "cos": (math.cos, np.cos),
-            "arctan": (math.atan, np.arctan), "tanh": (math.tanh, np.tanh)}
+    _FNS = {"sin": np.sin, "cos": np.cos, "arctan": np.arctan, "tanh": np.tanh}
 
     def __init__(self, fn: str, inner):
         if fn not in self._FNS:
@@ -867,10 +845,10 @@ class SmoothWrap(_Composite):
         self.inner = inner
 
     def ev(self, t, side=0):
-        return self._FNS[self.fn][0](self.inner.ev(t, side))
+        return float(self._FNS[self.fn](float(self.inner.ev(t, side))))
 
     def ev_array(self, ts):
-        return self._FNS[self.fn][1](self.inner.ev_array(ts))
+        return self._FNS[self.fn](self.inner.ev_array(ts))
 
     def osc_bound_array(self, us, vs):
         return np.minimum(2.0, self.inner.osc_bound_array(us, vs))
@@ -897,7 +875,8 @@ class RecipT(Expr):
         return 1.0 / t
 
     def ev_array(self, ts):
-        return 1.0 / np.asarray(ts, dtype=float)
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(ts, dtype=float)
 
     def osc_bound_array(self, us, vs):
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)

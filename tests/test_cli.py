@@ -149,3 +149,29 @@ def test_stieltjes_default_tol_fails_with_a_usable_hint():
         tol = float(msg.split("--tol ")[1].split()[0])
         assert 1e-6 < tol <= 1.2e-6  # Vg = 1 for both: any tol > 1e-6 works
         assert max(2, int(1.0 / tol) + 1) <= MAX_LEVEL
+
+
+# -- typed errors: one stderr line and exit code 1, no traceback ------------------------
+
+
+def _one_line_error(capsys, command):
+    err = capsys.readouterr().err
+    assert err.startswith(f"leftprim {command}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_example_csv_of_recip_t_reports_the_missing_limit(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli("example", "recip_t", "--format", "csv", "--out", str(out)) == 1
+    assert "blows up" in _one_line_error(capsys, "example")
+
+
+def test_sup_norm_of_recip_t_reports_no_bound(capsys):
+    assert run_cli("norm", "recip_t", "sup") == 1
+    assert "no certified bound" in _one_line_error(capsys, "norm")
+
+
+def test_alexiewicz_norm_of_recip_t_reports_non_integrable(capsys):
+    assert run_cli("norm", "recip_t", "alexiewicz") == 1
+    assert "not locally HK integrable" in _one_line_error(capsys, "norm")
