@@ -20,6 +20,9 @@ from .quadrature import (EstimationError, IntegrabilityError,
                          integrate_piecewise, richardson_limit)
 from .stepfn import PiecewisePoly, StepFn, float_cells
 
+_PROBES = 40_000        # probe lattice cells of oscillation_partition
+_MAX_CELLS = 2_000_000  # cells oscillation_partition may bound in all
+
 
 class RegulatedFn:
     """A left-regulated scalar function on an interval.
@@ -213,18 +216,17 @@ class OscillationPartition:
     residual: list  # cells at the width floor that still violate 1/n
 
 
-def oscillation_partition(f: RegulatedFn, n: int, J: Interval,
-                          probes: int = 40_000, w_floor: float = None,
-                          max_cells: int = 2_000_000) -> OscillationPartition:
+def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPartition:
     """Left-open cell partition of J with per-cell oscillation <= 1/n.
 
     Cells are seeded at the declared discontinuities and split by bisection
     while a certified oscillation bound exceeds 1/n.  Refinement is driven by
-    a uniform probe lattice: a cell is split only while some probe lies in
-    its open interior, and never below the width floor.  For exact step data
-    the construction is exact and certified; for symbolic functions cells at
-    the width floor next to second-kind discontinuities may keep oscillation
-    above 1/n and are reported in ``residual``.
+    a uniform probe lattice of ``_PROBES`` cells: a cell is split only while
+    some probe lies in its open interior, and never below the width floor
+    (hi - lo) 2^-48.  For exact step data the construction is exact and
+    certified; for symbolic functions cells at the width floor next to
+    second-kind discontinuities may keep oscillation above 1/n and are
+    reported in ``residual``.
     """
     if not J.is_compact:
         raise EstimationError(
@@ -236,11 +238,10 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval,
         return OscillationPartition(n, J, list(sf.breaks), list(sf.values),
                                     True, [])
 
-    if w_floor is None:
-        w_floor = (hi - lo) * 2.0 ** -48
+    w_floor = (hi - lo) * 2.0 ** -48
     cuts = sorted({lo, hi}.union(float(c) for c in f.bound_cuts(J.lo, J.hi)
                                  if lo < float(c) < hi))
-    grid = np.linspace(lo, hi, probes + 1)
+    grid = np.linspace(lo, hi, _PROBES + 1)
     target = 1.0 / n
 
     us = np.array(cuts[:-1])
@@ -265,9 +266,9 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval,
         us = np.concatenate([us[split], mid])
         vs = np.concatenate([mid, vs[split]])
         total += len(mid)
-        if total > max_cells:
+        if total > _MAX_CELLS:
             raise EstimationError(
-                f"oscillation partition exceeded {max_cells} cells at n={n}")
+                f"oscillation partition exceeded {_MAX_CELLS} cells at n={n}")
     order = np.argsort(done_u)
     breaks = np.concatenate([np.array(done_u)[order], [hi]])
     values = f.sample(breaks[1:])
@@ -275,20 +276,15 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval,
                                 False, residual)
 
 
-def step_approximation(f: RegulatedFn, n: int, J: Interval = None,
-                       **kw) -> StepFn:
+def step_approximation(f: RegulatedFn, n: int, J: Interval = None) -> StepFn:
     """Countably-stepped approximation with |F_n - f| <= 1/n (see partition).
 
     For step input the result is the merged restriction (zero error).  For
     symbolic input the bound is certified on the probe lattice, except inside
     the reported residual cells hugging second-kind discontinuities.
     """
-    J = J or f.interval
-    if f.kind == "step":
-        return f.payload.restrict(Fraction(J.lo), Fraction(J.hi)).merged()
-    part = oscillation_partition(f, n, J, **kw)
-    base = f.value(part.cuts[0])
-    return StepFn(part.cuts, part.values, base)
+    part = oscillation_partition(f, n, J or f.interval)
+    return StepFn(part.cuts, part.values, f.value(part.cuts[0]))
 
 
 def lattice(f: RegulatedFn, g: RegulatedFn, op: str) -> RegulatedFn:

@@ -126,15 +126,9 @@ def _resolve_bv(g):
     return g
 
 
-def _g_right(g, t, hi):
-    """g(t+) with the closed-endpoint convention g(b+) := g(b)."""
-    if t >= hi:
-        return g(hi)
-    return g.right_limit(t)
-
-
 def _g_rights(g, ts):
-    """_g_right at each of the ascending points ``ts``, in one walk."""
+    """g(t+) at each of the ascending points ``ts``, in one walk, with the
+    closed-endpoint convention g(b+) := g(b) from the domain maximum b on."""
     k = bisect_left(ts, g.hi)
     tail = [g(g.hi)] * (len(ts) - k) if k < len(ts) else []
     return g.right_limits(ts[:k]) + tail
@@ -164,8 +158,8 @@ def mu_interval(g, x, y):
     """
     if not x < y:
         raise DomainError(f"empty interval ({x}, {y}]")
-    g = _resolve_bv(g)
-    return _g_right(g, y, g.hi) - _g_right(g, x, g.hi)
+    gx, gy = _g_rights(_resolve_bv(g), [x, y])
+    return gy - gx
 
 
 MAX_LEVEL = 1_000_000  # largest step level stieltjes builds for symbolic F
@@ -206,11 +200,11 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
 
 def stieltjes_sum(F: RegulatedFn, g, P: LeftPartition):
     """Riemann-Stieltjes-type sum sum F(xi_i)[g(y_i+) - g(x_i+)] over P."""
-    gr = _resolve_bv(g)
+    gv = _g_rights(_resolve_bv(g), [P.cells[0][0]] + [y for _, y in P.cells])
     total = 0
-    for (x, y), tag in zip(P.cells, P.tags):
+    for k, tag in enumerate(P.tags):
         val = F.payload(tag) if F.kind == "step" else F.value(tag)
-        total += val * (_g_right(gr, y, gr.hi) - _g_right(gr, x, gr.hi))
+        total += val * (gv[k + 1] - gv[k])
     return total
 
 

@@ -103,7 +103,7 @@ def cumulative(f: Distribution, a, c) -> RegulatedFn:
         data = F.payload + (c - F.payload(a))
         return RegulatedFn(type(F.expr)(data), data.interval)
     shift = c - F.value(a)
-    return F + RegulatedFn.constant(shift, F.interval)
+    return F if shift == 0 else F + RegulatedFn.constant(shift, F.interval)
 
 
 def hake(f: Distribution, side: str, c):
@@ -170,8 +170,6 @@ class Multiplier:
         return v
 
     def density_sup(self):
-        if self.density.kind == "step":
-            return self.density.payload.sup_norm()
         return fs.norm(self.density, "sup")
 
 
@@ -271,7 +269,7 @@ def parts(f: Distribution, g: Multiplier, a, b, tol: float = 1e-10):
             lambda ts: (F.sample(ts) - Fa) * h.sample(ts),
             float(a), float(b), cuts, tol)
         value = Fb * gb - integral_part
-    F0 = _anchored(F, Fa, a, b)
+    F0 = cumulative(f, a, 0)  # anchored at a; the norms restrict to J
     if f.space_tag == "LL":
         bound = abs(Fb) * abs(gb) + float(fs.norm(F0, "l1", J)) * float(sup_h)
     else:
@@ -279,19 +277,6 @@ def parts(f: Distribution, g: Multiplier, a, b, tol: float = 1e-10):
             float(sup_h) + float(g.variation))
     assert abs(float(value)) <= float(bound) + 1e-9 * (1 + abs(float(bound)))
     return value, bound
-
-
-def _anchored(F: RegulatedFn, Fa, a, b) -> RegulatedFn:
-    """The zero-anchored representative of F on [a, b]."""
-    if F.kind == "step":
-        return RegulatedFn.from_step(
-            F.payload.restrict(Fraction(a), Fraction(b)) + (-Fa))
-    if F.kind == "poly":
-        restricted = F.payload  # norms restrict via the interval argument
-        return RegulatedFn.from_poly(restricted + (-Fa)) if Fa != 0 else F
-    if Fa == 0:
-        return F
-    return F - RegulatedFn.constant(Fa, F.interval)
 
 
 def product(f: Distribution, g: Distribution) -> Distribution:

@@ -20,6 +20,8 @@ from .intervals import DomainError
 # 15-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_X2, _GL_W2 = np.polynomial.legendre.leggauss(30)
+_MAX_DEPTH = 48          # bisection depth at which adaptive_gauss accepts a leaf
+_MAX_PIECES = 2_000_000  # alternating-series pieces oscillatory_reciprocal sums
 
 
 class IntegrabilityError(ArithmeticError):
@@ -36,7 +38,7 @@ def _gauss(f, a, b, x, w):
     return half * float(np.sum(w * f(mid + half * x)))
 
 
-def adaptive_gauss(f, a, b, tol=1e-10, max_depth=48):
+def adaptive_gauss(f, a, b, tol=1e-10):
     """Adaptive Gauss quadrature with a 15/30-point error estimate.
 
     ``f`` must accept numpy arrays.  Returns ``(value, error_bound)``; the
@@ -56,7 +58,7 @@ def adaptive_gauss(f, a, b, tol=1e-10, max_depth=48):
         coarse = _gauss(f, lo, hi, _GL_X, _GL_W)
         fine = _gauss(f, lo, hi, _GL_X2, _GL_W2)
         e = abs(fine - coarse)
-        if e <= tol * max(1.0, (hi - lo) / (b - a)) * 0.5 or depth >= max_depth:
+        if e <= tol * 0.5 or depth >= _MAX_DEPTH:
             total += fine
             err += e
         else:
@@ -75,13 +77,13 @@ def integrate_piecewise(f, a, b, cuts=(), tol=1e-10):
     total, err = 0.0, 0.0
     n = len(pts) - 1
     for i in range(n):
-        v, e = adaptive_gauss(f, pts[i], pts[i + 1], tol=tol / max(n, 1))
+        v, e = adaptive_gauss(f, pts[i], pts[i + 1], tol=tol / n)
         total += v
         err += e
     return sign * total, err
 
 
-def oscillatory_reciprocal(trig, power, lower, tol=1e-12, max_pieces=2_000_000):
+def oscillatory_reciprocal(trig, power, lower, tol=1e-12):
     """Certified ``int_lower^inf trig(u) / u**power du`` for trig in {sin, cos}.
 
     Splits at the zeros of ``trig``; the piece integrals alternate in sign with
@@ -112,7 +114,7 @@ def oscillatory_reciprocal(trig, power, lower, tol=1e-12, max_pieces=2_000_000):
     v, _ = adaptive_gauss(f, lower, zero(k), tol=tol * 0.1)
     total += v
     last = abs(v)
-    for j in range(max_pieces):
+    for j in range(_MAX_PIECES):
         a, b = zero(k + j), zero(k + j + 1)
         piece = _gauss(f, a, b, _GL_X2, _GL_W2)
         total += piece
@@ -136,15 +138,15 @@ def oscillatory_t_trig(trig, a, b, tol=1e-12):
     return tail_b - tail_a, err_b + err_a
 
 
-def richardson_limit(sampler, h0, levels=5, factor=2.0, order=1):
-    """Extrapolate ``lim_{h->0+} sampler(h)`` from a geometric h-sequence.
+def richardson_limit(sampler, h0, levels=5, order=1):
+    """Extrapolate ``lim_{h->0+} sampler(h)`` from the h-sequence h0 / 2**i.
 
     Standard Richardson table assuming an expansion in powers of ``h**order``.
     Returns the extrapolated limit and the last correction size.
     """
-    hs = [h0 / factor ** i for i in range(levels)]
+    hs = [h0 / 2.0 ** i for i in range(levels)]
     table = [[sampler(h) for h in hs]]
-    p = factor ** order
+    p = 2.0 ** order
     for lvl in range(1, levels):
         prev = table[-1]
         row = []

@@ -11,6 +11,7 @@ the "p/q" rational cell encoding.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,8 +79,8 @@ def parse_frac(s) -> Fraction:
     return Fraction(str(s))
 
 
-def exact_expr(kind: str, q: Fraction, digits: int = 12) -> dict:
-    """An exact coefficient with its decimal rendering, e.g. arctan(p/q)."""
+def exact_expr(kind: str, q: Fraction) -> dict:
+    """An exact coefficient and its 12-digit decimal, e.g. arctan(p/q)."""
     import math
 
     q = Fraction(q)
@@ -87,7 +88,7 @@ def exact_expr(kind: str, q: Fraction, digits: int = 12) -> dict:
     val = fn(abs(q.numerator) / q.denominator)  # both kinds are odd
     sign = "" if q >= 0 else "-"
     return {"exact": f"{sign}{kind}({frac_str(abs(q))})",
-            "decimal": f"{(val if q >= 0 else -val):.{digits}f}",
+            "decimal": f"{(val if q >= 0 else -val):.12f}",
             "tag": "exact"}
 
 
@@ -174,14 +175,16 @@ def export(obj, path, format: str = "csv", grid=None, thin: int = 1):
     if isinstance(obj, RunReport):
         raise ValueError("reports export with format='report'")
     if isinstance(obj, IterationTrace) and grid is None:
-        raise ValueError("trace export needs the grid")  # before truncating path
+        raise ValueError("trace export needs the grid")
+    buf = io.StringIO(newline="")  # rendered first: a failure writes no file
+    if isinstance(obj, IterationTrace):
+        export_trace_csv(obj, grid, buf, thin)
+    elif isinstance(obj, RegulatedFn):
+        export_function_csv(obj, buf, grid or 256)
+    elif isinstance(obj, StepFn):
+        export_function_csv(RegulatedFn.from_step(obj), buf, grid or 256)
+    else:
+        raise TypeError(f"cannot export {type(obj).__name__}")
     with open(path, "w", newline="") as fh:
-        if isinstance(obj, IterationTrace):
-            export_trace_csv(obj, grid, fh, thin)
-        elif isinstance(obj, RegulatedFn):
-            export_function_csv(obj, fh, grid or 256)
-        elif isinstance(obj, StepFn):
-            export_function_csv(RegulatedFn.from_step(obj), fh, grid or 256)
-        else:
-            raise TypeError(f"cannot export {type(obj).__name__}")
+        fh.write(buf.getvalue())
     return path

@@ -117,14 +117,13 @@ def _check_order(below, above, grid, message, eps=1e-9, error=OrderBoundError):
 
 
 def make_grid(a, b, per_unit: int = 4096, include=()) -> np.ndarray:
-    """Uniform grid with mandatory inclusion of declared discontinuities."""
+    """Grid of [a, b] through the points ``include``: one uniform linspace
+    per piece [l, r] between them, of max(1, round((r - l) per_unit)) cells."""
     a, b = float(a), float(b)
-    n = max(2, int(round((b - a) * per_unit)) + 1)
-    grid = np.linspace(a, b, n)
-    extra = np.array(sorted(float(p) for p in include if a < float(p) < b))
-    if len(extra):
-        grid = np.unique(np.concatenate([grid, extra]))
-    return grid
+    pts = [a] + sorted({float(p) for p in include if a < float(p) < b}) + [b]
+    pieces = [np.linspace(l, r, max(1, int(round((r - l) * per_unit))) + 1)
+              for l, r in zip(pts[:-1], pts[1:])]
+    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
 
 
 @dataclass
@@ -160,8 +159,7 @@ class CauchySystem:
     def constant_start(self, values) -> list:
         return [GridFn.constant(self.grid, v) for v in values]
 
-    def spot_check_monotone(self, lower, upper, rng=None, cases: int = 3,
-                            eps: float = 1e-9):
+    def spot_check_monotone(self, lower, upper, rng=None, cases: int = 3):
         """Random ordered pairs inside [lower, upper] must map to ordered
         images; a declared-monotone operator failing this raises."""
         g = self.grid
@@ -175,7 +173,7 @@ class CauchySystem:
             y = [GridFn(g, (1 - w2) * a + w2 * b) for a, b in zip(lo, hi)]
             _check_order(apply_operator(self, x), apply_operator(self, y), g,
                          "declared-monotone operator fails an order spot check",
-                         eps, MonotonicityError)
+                         error=MonotonicityError)
 
 
 def apply_operator(S: CauchySystem, x: list) -> list:
@@ -310,7 +308,6 @@ def _monotone_chain(direction, x, xs, step, stop, close, max_steps,
 def iterate_chain(S: CauchySystem, start: list, direction: str,
                   tol: float = 1e-10, max_steps: int = 200,
                   max_omega_stages: int = 8,
-                  mono_eps: float = 1e-9,
                   record_every: int = 1) -> tuple:
     """Iterate F from a sub- (up) or supersolution (down) to stabilization.
 
@@ -348,7 +345,7 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
     x, _, trace = _monotone_chain(
         direction, x, [as_grid(f, grid) for f in x], step, stop,
         lambda xs: repaired(xs, xs), max_steps, max_omega_stages,
-        mono_eps if S.monotone else np.inf, record_every,
+        1e-9 if S.monotone else np.inf, record_every,
         f"{direction}-chain violated order by {{gap:.3e}} at step {{step}}")
     return x, trace
 
@@ -516,24 +513,23 @@ class SubSuperPair:
 
 
 def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
-                      max_steps: int = 200, max_omega_stages: int = 8,
-                      res_tol: float = None, **kw):
+                      max_steps: int = 200, max_omega_stages: int = 8):
     """Smallest and greatest solutions between a sub/supersolution pair.
 
     The up-chain from the lower bound yields the smallest solution, the
     down-chain from the upper bound the greatest; both are verified as fixed
     points on the grid and bracket-ordered.  Each bound is sampled on the
     grid once here (and once more as a chain start); the checks share the
-    samples.
+    samples.  A grid residual above 50 ``tol`` raises FixedPointError.
     """
     lo, hi = pair.validate(S)
     if S.monotone:
         S.spot_check_monotone(lo, hi)
     y_lo, tr_up = iterate_chain(S, pair.lower, "up", tol, max_steps,
-                                max_omega_stages, **kw)
+                                max_omega_stages)
     y_hi, tr_dn = iterate_chain(S, pair.upper, "down", tol, max_steps,
-                                max_omega_stages, **kw)
-    res_tol = res_tol if res_tol is not None else 50 * tol
+                                max_omega_stages)
+    res_tol = 50 * tol
     r_lo = tr_up.residual = residual(S, y_lo)
     r_hi = tr_dn.residual = residual(S, y_hi)
     if not (r_lo <= res_tol and r_hi <= res_tol):
@@ -699,9 +695,10 @@ class MajorantOp:
                          "majorant operator is not increasing")
 
     def spot_check_sublinear(self, rng=None, cases: int = 5):
-        """G(0) >= 0, and S = G - G(0) subadditive and positively
-        homogeneous on random nonnegative envelopes, within 1e-9 relative to
-        the images' size; a failure raises :class:`SublinearityError`."""
+        """On random nonnegative envelopes u, v: G(u) <= G(u + v), else
+        :class:`OrderBoundError`; G(0) >= 0, and S = G - G(0) subadditive and
+        positively homogeneous within 1e-9 relative to the images' size,
+        else :class:`SublinearityError`."""
         rng = rng or np.random.default_rng(0)
         g = self.grid
         G = lambda v: as_grid(self.G(GridFn(g, v)), g)
@@ -714,6 +711,7 @@ class MajorantOp:
             v = np.abs(rng.normal(size=len(g)))
             lam = rng.uniform(0, 4)
             su, sv, suv, slu = (G(w) - g0 for w in (u, v, u + v, lam * u))
+            _check_order([su], [suv], g, "majorant operator is not increasing")
             tol = 1e-9 * max(1.0, *(float(np.max(np.abs(x)))
                                     for x in (su, sv, suv, slu)))
             _check_order([suv], [su + sv], g,
@@ -725,13 +723,12 @@ class MajorantOp:
 
 
 def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
-                     max_steps: int = 100_000, max_omega_stages: int = 8,
-                     stag_tol: float = None):
+                     max_steps: int = 100_000, max_omega_stages: int = 8):
     """Drive the envelope chain w -> G(w) toward zero.
 
     Certified when the grid sup-norm of the envelope falls below ``tol``
     within the budgets.  On stagnation (successive difference below
-    ``stag_tol``, which defaults to tol * min-grid-spacing / 8 because the
+    tol * min-grid-spacing / 8, because the
     slowest modes decay by about value*spacing per step next to a branch
     point) an omega-stage applies the pointwise-inf closure (left-continuity
     repair at declared branch points) and iteration resumes.
@@ -744,9 +741,7 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
     """
     M.spot_check_increasing()
     grid = M.grid
-    if stag_tol is None:
-        h = float(np.min(np.diff(grid)))
-        stag_tol = tol * h / 8
+    stag_tol = tol * float(np.min(np.diff(grid))) / 8
     cidx = closure_indices(grid, M.closure_points)
 
     def step(ws, _):
@@ -775,7 +770,7 @@ def windowed_envelope(M: MajorantOp, tol: float = 1e-9,
     """Bound every envelope d (0 <= d <= w0, d <= G(d)) window by window with
     a contraction certificate.
 
-    ``M`` must meet the :class:`MajorantOp` contract (spot-checked here).
+    ``M`` must meet the :class:`MajorantOp` contract (one spot-check pass).
     The windows are the grid pieces between the closure points, as in
     :func:`windowed_chain`, solved in order with the bound B of the earlier
     windows frozen.  On a window W (its closure point left out) two operator
@@ -801,7 +796,6 @@ def windowed_envelope(M: MajorantOp, tol: float = 1e-9,
     ``stabilization_index`` the operator applications and ``stabilized``
     whether every window is certified with bound <= ``tol``.
     """
-    M.spot_check_increasing()
     M.spot_check_sublinear()
     grid = M.grid
     n = len(grid)

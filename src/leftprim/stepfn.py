@@ -42,6 +42,7 @@ from .intervals import DomainError, Interval
 # sums cost more than the Fraction arithmetic they replace (measured on
 # 2000-cell steps, ROADMAP item 8); 256 keeps a margin of 2 or more.
 LATTICE_BITS = 256
+_DENOMS = (2, 3, 4, 5, 7, 8)  # denominators of random_stepfn's cuts and values
 
 
 class StepDataError(ValueError):
@@ -660,19 +661,19 @@ def _poly_antiderivative(c):
                         else a / (k + 1) for k, a in enumerate(c))
 
 
-def random_stepfn(rng, lo=0, hi=1, max_cells=8, value_range=6, denom_pool=(2, 3, 4, 5, 7, 8)) -> StepFn:
+def random_stepfn(rng, lo=0, hi=1, max_cells=8, value_range=6) -> StepFn:
     """Seeded random exact step function on [lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     k = int(rng.integers(1, max_cells + 1))
     cuts = set()
     while len(cuts) < k - 1:
-        den = int(rng.choice(denom_pool)) * 4
+        den = int(rng.choice(_DENOMS)) * 4
         num = int(rng.integers(1, den))
         c = lo + (hi - lo) * Fraction(num, den)
         if lo < c < hi:
             cuts.add(c)
     breaks = [lo] + sorted(cuts) + [hi]
     values = [Fraction(int(rng.integers(-value_range, value_range + 1)),
-                       int(rng.choice(denom_pool)))
+                       int(rng.choice(_DENOMS)))
               for _ in range(len(breaks) - 1)]
     return StepFn(breaks, values)

@@ -165,6 +165,7 @@ def test_example_csv_of_recip_t_reports_the_missing_limit(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run_cli("example", "recip_t", "--format", "csv", "--out", str(out)) == 1
     assert "blows up" in _one_line_error(capsys, "example")
+    assert not out.exists()
 
 
 def test_sup_norm_of_recip_t_reports_no_bound(capsys):

@@ -43,10 +43,15 @@ def test_closed_form_error_is_no_worse_than_the_plain_chain(T, per_unit):
 
 
 def test_an_irregular_closure_gap_falls_back_to_the_plain_chain():
-    # 1 is inserted into this grid off its spacing, so the left-continuity
+    # 1 is inserted into this grid off its spacing (make_grid keeps the
+    # spacing regular, so the grid is built here), and the left-continuity
     # repair of the extrapolate lands below the chain's clamped value there;
     # the near-side check refuses that bracket
-    S, x, _, trace = _ex01(1.5, 255)
+    grid = np.unique(np.concatenate([np.linspace(0, 1.5, 383), [1.0]]))
+    op = SY.ex01_operator(H, grid)
+    S = SV.CauchySystem(1, [lambda x: op(x[0])], [0.0], Interval(0, 1.5 + 1e-9),
+                        grid, closure_points=(1,), name="ex01")
+    x, _, trace = windowed_chain(S, S.constant_start([-1.0]), 30_000)
     ref, _ = iterate_chain(S, S.constant_start([-1.0]), "up", tol=1e-13,
                            max_steps=30_000, record_every=0)
     assert trace.bracket_widths[0] == math.inf and _fallbacks(trace) == 1
@@ -159,3 +164,26 @@ def test_ex01_reports_the_uniqueness_interval(T, per_unit, covered):
         out["truncation_note"]
     assert set(rep.stabilization) == {"steps", "omega_stages", "uniqueness_steps"}
     assert rep.stabilization["steps"] == 2 * math.ceil(T)  # no window fell back
+
+
+@pytest.mark.parametrize("T", [2.5, 7.5])
+@pytest.mark.parametrize("per_unit", [255, 300])
+def test_closure_points_off_the_uniform_grid_keep_a_regular_spacing(T, per_unit):
+    # make_grid spaces each piece between closure points on its own, so the
+    # quadratic closure reads evenly spaced points and every window brackets
+    S = SY.ex01_system(H, T=T, per_unit=per_unit)
+    idx = SV.closure_indices(S.grid, S.closure_points)
+    assert [float(S.grid[j]) for j in idx] == [float(p) for p in S.closure_points]
+    for j in idx:
+        gaps = np.diff(S.grid[j - 3:j + 1])
+        assert np.allclose(gaps, gaps[0], rtol=1e-9, atol=0)
+    out = run_ex01(T=T, per_unit=per_unit).outputs
+    assert out["closed_form_sup_error"] <= 1e-9
+    assert math.isfinite(out["bracket_width"])
+    assert out["uniqueness_interval"] == [0, T]
+
+
+def test_a_grid_through_points_on_the_uniform_grid_is_the_uniform_grid():
+    assert np.array_equal(SV.make_grid(0, 5, 256, include=range(1, 6)),
+                          np.linspace(0, 5, 1281))
+    assert np.array_equal(SV.make_grid(0, 1, 4096), np.linspace(0, 1, 4097))

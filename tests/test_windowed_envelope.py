@@ -70,6 +70,17 @@ def test_a_majorant_outside_the_contract_is_refused(f, message):
         windowed_envelope(M)
 
 
+def test_a_decreasing_majorant_is_refused_as_not_increasing():
+    # G(w) = -w is linear, so the subadditivity and homogeneity checks pass
+    # and only the order check of the spot-check pass can refuse it
+    grid = SV.make_grid(0, 1, 32)
+    M = MajorantOp(lambda w: GridFn(grid, -as_grid(w, grid)),
+                   GridFn.constant(grid, 1.0), grid)
+    with pytest.raises(SV.OrderBoundError, match="not increasing") as err:
+        windowed_envelope(M)
+    assert err.type is SV.OrderBoundError
+
+
 def test_a_volterra_majorant_certifies_through_power_steps():
     # G(w) = 3 int_0^t w: theta(w0 = 1) = 3 at t = 1.  Each power step adds
     # L(s)/theta, so s grows toward a truncated exponential e^(mu t), for which
@@ -111,9 +122,9 @@ def test_ex01_needs_at_most_four_applications_per_window(T):
         return G(w)
 
     M.G = counted
-    M.spot_check_increasing()
-    M.spot_check_sublinear()
+    M.spot_check_sublinear()  # the one spot-check pass, increasing included
     checks = calls[0]
+    assert checks == 21  # G(0), then G(u), G(v), G(u + v), G(lam u) in 5 cases
     horizon, env, trace = windowed_envelope(M, max_steps=30_000)
     assert horizon == float(T) and trace.stabilized
     assert np.all(env.values == 0.0)
