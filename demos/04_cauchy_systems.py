@@ -10,7 +10,7 @@ and the uniqueness-majorant chain that certifies through omega-stages.
 import numpy as np
 
 from leftprim.runs import run_ex01, run_ex31
-from leftprim.solver import as_grid, iterate_chain, uniqueness_chain
+from leftprim.solver import uniqueness_chain
 from leftprim import systems as SY
 
 print("== quantized two-component system ==")

@@ -21,5 +21,20 @@ from .solver import (CauchySystem, GridFn, SubSuperPair, IterationTrace,
                      ceil_norm, uniqueness_chain, reduce_higher_order,
                      make_grid)
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# The public API; submodules stay importable (``leftprim.solver``) but are not
+# part of it.
+__all__ = [
+    "Interval", "DomainError", "StepFn", "PiecewisePoly", "random_stepfn",
+    "RegulatedFn", "limits", "step_approximation", "lattice", "abs_fn",
+    "pos_fn", "neg_fn", "norm", "local_metric", "classify",
+    "integrate_regulated", "fd_derivative_check",
+    "Distribution", "Multiplier", "TestFn", "primitive_integral", "cumulative",
+    "pairing", "hake", "parts", "product", "dirac",
+    "LeftGauge", "LeftPartition", "fine_partition", "mu_interval", "stieltjes",
+    "stieltjes_sum",
+    "CauchySystem", "GridFn", "SubSuperPair", "IterationTrace", "MajorantOp",
+    "L1Config", "apply_operator", "iterate_chain", "smallest_greatest",
+    "bounds_to_subsuper", "minmax_l1", "ceil_norm", "uniqueness_chain",
+    "reduce_higher_order", "make_grid",
+]
 __version__ = "0.1.0"

@@ -26,17 +26,14 @@ def osc_series_G(m: int, lo=0, hi=1) -> RegulatedFn:
     """Bounded series with a second-kind discontinuity at every rational
     with denominator <= m; locally Riemann integrable.  Its registered
     primitive is :func:`osc_series_F`."""
-    expr = sym.series(sym.OscCosTerm, m)
-    F = RegulatedFn.from_expr(sym.series(sym.SmoothSquareCosTerm, m),
-                              _iv(lo, hi), name=f"E48_F(m={m})")
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name=f"E47_G(m={m})",
-                                 primitive=F)
+    return RegulatedFn(sym.series(sym.OscCosTerm, m), _iv(lo, hi),
+                       name=f"E47_G(m={m})", primitive=osc_series_F(m, lo, hi))
 
 
 def osc_series_F(m: int, lo=0, hi=1) -> RegulatedFn:
     """Continuous primitive of osc_series_G (term-wise antiderivative)."""
-    return RegulatedFn.from_expr(sym.series(sym.SmoothSquareCosTerm, m),
-                                 _iv(lo, hi), name=f"E48_F(m={m})")
+    return RegulatedFn(sym.series(sym.SmoothSquareCosTerm, m), _iv(lo, hi),
+                       name=f"E48_F(m={m})")
 
 
 def hard_series_Gm(m: int, lo=0, hi=1) -> RegulatedFn:
@@ -45,12 +42,11 @@ def hard_series_Gm(m: int, lo=0, hi=1) -> RegulatedFn:
     expr = sym.Sum([sym.series(sym.OscCosTerm, m),
                     sym.series(sym.HardOscTerm, m)])
     F = hard_series_Fm(m, lo, hi)
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name=f"E407_Gm(m={m})",
-                                 primitive=F)
+    return RegulatedFn(expr, _iv(lo, hi), name=f"E407_Gm(m={m})", primitive=F)
 
 
 def hard_series_Fm(m: int, lo=0, hi=1) -> RegulatedFn:
-    return RegulatedFn.from_expr(
+    return RegulatedFn(
         sym.Sum([sym.series(sym.SmoothSquareCosTerm, m),
                  sym.series(sym.SmoothPhiCosTerm, m)]),
         _iv(lo, hi), name=f"E408_Fm(m={m})")
@@ -62,12 +58,11 @@ def sqrt_series_Gm(m: int, lo=0, hi=1) -> RegulatedFn:
     expr = sym.Sum([sym.series(sym.OscCosTerm, m),
                     sym.series(sym.SqrtRecipTerm, m)])
     F = sqrt_series_Fm(m, lo, hi)
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name=f"E409_Gm(m={m})",
-                                 primitive=F)
+    return RegulatedFn(expr, _iv(lo, hi), name=f"E409_Gm(m={m})", primitive=F)
 
 
 def sqrt_series_Fm(m: int, lo=0, hi=1) -> RegulatedFn:
-    return RegulatedFn.from_expr(
+    return RegulatedFn(
         sym.Sum([sym.series(sym.SmoothSquareCosTerm, m),
                  sym.series(sym.SqrtFloorTerm, m)]),
         _iv(lo, hi), name=f"E600_Fm(m={m})")
@@ -77,11 +72,11 @@ def left_frac_series(m: int, p=2, lo=0, hi=1) -> RegulatedFn:
     """Regulated left-continuous series of sawtooth terms (jumps of the first
     kind at every rational with denominator <= m)."""
     expr = sym.Sum([sym.LeftFracTerm(n, p) for n in range(1, m + 1)])
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name=f"E611_F(m={m},p={p})")
+    return RegulatedFn(expr, _iv(lo, hi), name=f"E611_F(m={m},p={p})")
 
 
 def heaviside(lo=-1, hi=1) -> RegulatedFn:
-    return RegulatedFn.from_expr(sym.Heaviside(), _iv(lo, hi), name="heaviside")
+    return RegulatedFn(sym.Heaviside(), _iv(lo, hi), name="heaviside")
 
 
 def heaviside_step(lo=-1, hi=1) -> RegulatedFn:
@@ -96,7 +91,7 @@ def heaviside_step(lo=-1, hi=1) -> RegulatedFn:
 
 def monomial(k: int, lo=0, hi=1) -> RegulatedFn:
     name = "t" if k == 1 else f"t^{k}"
-    return RegulatedFn.from_expr(sym.Monomial(k), _iv(lo, hi), name=name)
+    return RegulatedFn(sym.Monomial(k), _iv(lo, hi), name=name)
 
 
 def t_times_G(m: int, lo=0, hi=1) -> RegulatedFn:
@@ -115,31 +110,31 @@ def t2_times_Gm(m: int, lo=0, hi=1) -> RegulatedFn:
 
 def shape_A(lo=0, hi=1) -> RegulatedFn:
     """t (1 + cos(1/t)), extended by 0 at 0; nonnegative and continuous."""
-    return RegulatedFn.from_expr(sym.Shape("cos", +1), _iv(lo, hi), name="shape_A")
+    return RegulatedFn(sym.Shape("cos", +1), _iv(lo, hi), name="shape_A")
 
 
 def shape_B(lo=0, hi=1) -> RegulatedFn:
     """t (1 - sin(1/t)), extended by 0 at 0; nonnegative and continuous."""
-    return RegulatedFn.from_expr(sym.Shape("sin", -1), _iv(lo, hi), name="shape_B")
+    return RegulatedFn(sym.Shape("sin", -1), _iv(lo, hi), name="shape_B")
 
 
 def g_factor_A(lo=0, hi=1) -> RegulatedFn:
     """(1/t) cos(1/t) - sin(1/t) + 1 with value 0 at 0; primitive shape_B."""
     expr = sym.GFactor("A")
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name="g_factor_A",
-                                 primitive=shape_B(lo, hi))
+    return RegulatedFn(expr, _iv(lo, hi), name="g_factor_A",
+                       primitive=shape_B(lo, hi))
 
 
 def g_factor_B(lo=0, hi=1) -> RegulatedFn:
     """(1/t) sin(1/t) + cos(1/t) + 1 with value 0 at 0; primitive shape_A."""
     expr = sym.GFactor("B")
-    return RegulatedFn.from_expr(expr, _iv(lo, hi), name="g_factor_B",
-                                 primitive=shape_A(lo, hi))
+    return RegulatedFn(expr, _iv(lo, hi), name="g_factor_B",
+                       primitive=shape_A(lo, hi))
 
 
 def recip_t(lo=0, hi=1) -> RegulatedFn:
     """1/t: the canonical non-HK-integrable singularity at 0."""
-    return RegulatedFn.from_expr(sym.RecipT(), _iv(lo, hi), name="1/t")
+    return RegulatedFn(sym.RecipT(), _iv(lo, hi), name="1/t")
 
 
 class AlternatingIndicatorTail:

@@ -134,7 +134,7 @@ def cmd_example(args):
     f = _build(name, args)
     if args.format == "csv":
         path = args.out or f"{name}.csv"
-        export(f, path, "csv", grid=args.grid)
+        export(f, path, grid=args.grid)
         print(f"wrote {path}")
         return 0
     lo, hi = float(f.interval.lo), float(f.interval.hi)
@@ -150,7 +150,7 @@ def cmd_example(args):
 def _emit_report(rep: RunReport, args):
     if args.format == "csv" and rep.traces:
         path = args.out or f"{rep.run_id}_trace.csv"
-        export(rep.traces[1], path, "csv", grid=rep.system.grid,
+        export(rep.traces[-1], path, grid=rep.system.grid,
                thin=max(1, len(rep.system.grid) // 64))
         print(f"wrote {path}")
         return 0
@@ -210,7 +210,7 @@ def cmd_solve(args):
                              "down": tr_dn.stabilization_index}
         if args.format == "csv":
             path = args.out or "solve_trace.csv"
-            export(tr_up, path, "csv", grid=S.grid,
+            export(tr_up, path, grid=S.grid,
                    thin=max(1, len(S.grid) // 64))
             print(f"wrote {path}")
             return 0

@@ -66,11 +66,6 @@ class RegulatedFn:
         return cls(sym.PolyLeaf(poly), poly.interval, name)
 
     @classmethod
-    def from_expr(cls, expr: sym.Expr, interval: Interval, name: str = "",
-                  primitive: "RegulatedFn | None" = None) -> "RegulatedFn":
-        return cls(expr, interval, name, primitive)
-
-    @classmethod
     def lincomb(cls, parts, interval=None, name: str = "") -> "RegulatedFn":
         parts = [(c, f) for c, f in parts]
         if not parts:
@@ -156,11 +151,6 @@ class RegulatedFn:
 
     def sing_class(self) -> int:
         return self.expr.sing_class()
-
-    def to_step(self) -> StepFn:
-        if not isinstance(self.expr, sym.StepLeaf):
-            raise TypeError("not exact step data")
-        return self.expr.data
 
     # arithmetic sugar (used heavily by the solver and tests)
     def __add__(self, other):

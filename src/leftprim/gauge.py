@@ -203,8 +203,7 @@ def stieltjes_sum(F: RegulatedFn, g, P: LeftPartition):
     gv = _g_rights(_resolve_bv(g), [P.cells[0][0]] + [y for _, y in P.cells])
     total = 0
     for k, tag in enumerate(P.tags):
-        val = F.payload(tag) if F.kind == "step" else F.value(tag)
-        total += val * (gv[k + 1] - gv[k])
+        total += F.value(tag) * (gv[k + 1] - gv[k])
     return total
 
 

@@ -77,23 +77,6 @@ def _right(F: RegulatedFn, t):
     return r
 
 
-def order_le(f: Distribution, g: Distribution, grid: int = 1024) -> bool:
-    """The primitive order: f precedes g iff F <= G pointwise.
-
-    Exact for step primitives; sampled on a grid (plus declared jumps)
-    otherwise.
-    """
-    Fp, Gp = f.primitive, g.primitive
-    if Fp.kind == "step" and Gp.kind == "step":
-        return Fp.payload.le(Gp.payload)
-    lo, hi = float(Fp.interval.lo), float(Fp.interval.hi)
-    ts = np.unique(np.concatenate(
-        [np.linspace(lo, hi, grid + 1),
-         np.array([float(j) for j in Fp.jumps()] +
-                  [float(j) for j in Gp.jumps()] or [lo])]))
-    return bool(np.all(Fp.sample(ts) <= Gp.sample(ts) + 1e-12))
-
-
 def cumulative(f: Distribution, a, c) -> RegulatedFn:
     """G(x) = c + int_a^x f; G(a) = c and G' = f by construction."""
     F = f.primitive

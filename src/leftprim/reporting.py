@@ -4,8 +4,8 @@ Config files are a plain "key: value" format with nested blocks, parsed as a
 YAML subset via ``yaml.safe_load``.  CSV export writes '.' decimal points,
 a header row, one sample per row at grid points plus the declared
 discontinuities (two rows per jump: the left value at ``t`` and the right
-limit labelled ``t+``).  Exported step functions round-trip exactly through
-the "p/q" rational cell encoding.
+limit labelled ``t+``).  Step functions are read from the exact "p/q"
+rational cell encoding.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def exact_expr(kind: str, q: Fraction) -> dict:
 # -- step function serialization ----------------------------------------------------
 
 
-def stepfn_to_doc(f: StepFn) -> dict:
-    return {
-        "base_point": frac_str(f.breaks[0]),
-        "base_value": frac_str(f.base_value),
-        "cells": [{"x": frac_str(x), "y": frac_str(y), "v": frac_str(v)}
-                  for x, y, v in f.to_cells()],
-    }
-
-
 def stepfn_from_doc(doc: dict) -> StepFn:
     cells = [(parse_frac(c["x"]), parse_frac(c["y"]), parse_frac(c["v"]))
              for c in doc["cells"]]
@@ -120,11 +111,6 @@ def load_config(path) -> dict:
     with open(path) as fh:
         doc = yaml.safe_load(fh)
     return doc or {}
-
-
-def dump_config(doc: dict, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(_plain(doc), fh, sort_keys=False)
 
 
 # -- CSV export ---------------------------------------------------------------------------
@@ -163,17 +149,8 @@ def export_trace_csv(trace: IterationTrace, grid, out, thin: int = 1):
                        + [repr(float(comp[k])) for comp in stage])
 
 
-def export(obj, path, format: str = "csv", grid=None, thin: int = 1):
-    """Dispatching exporter for functions, traces, and reports."""
-    if format == "report":
-        if not isinstance(obj, RunReport):
-            raise TypeError("format='report' exports a RunReport")
-        text = obj.to_text()
-        with open(path, "w") as fh:
-            fh.write(text)
-        return path
-    if isinstance(obj, RunReport):
-        raise ValueError("reports export with format='report'")
+def export(obj, path, grid=None, thin: int = 1):
+    """CSV export of a function or a chain trace; returns ``path``."""
     if isinstance(obj, IterationTrace) and grid is None:
         raise ValueError("trace export needs the grid")
     buf = io.StringIO(newline="")  # rendered first: a failure writes no file
@@ -181,8 +158,6 @@ def export(obj, path, format: str = "csv", grid=None, thin: int = 1):
         export_trace_csv(obj, grid, buf, thin)
     elif isinstance(obj, RegulatedFn):
         export_function_csv(obj, buf, grid or 256)
-    elif isinstance(obj, StepFn):
-        export_function_csv(RegulatedFn.from_step(obj), buf, grid or 256)
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
     with open(path, "w", newline="") as fh:

@@ -124,5 +124,6 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9,
                             "uniqueness_steps": utrace.stabilization_index}
     report.timing_s = time.time() - t0
     report.solution = x
+    report.traces = (trace,)
     report.system = S
     return report

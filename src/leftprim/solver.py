@@ -202,10 +202,20 @@ def _fn_plus_const(fn: RegulatedFn, c) -> RegulatedFn:
 
 
 def closure_indices(grid: np.ndarray, closure_points) -> list:
+    """Ascending grid indices of the closure points that lie on the grid.
+
+    The closure rule at index j reads the grid points j-3, j-2 and j-1; they
+    must lie strictly inside j's own window, after the previous closure
+    point, or :class:`SolverDataError` is raised."""
     out = []
-    for p in closure_points:
-        j = int(np.searchsorted(grid, float(p)))
-        if j < len(grid) and abs(grid[j] - float(p)) <= 1e-12 and j >= 3:
+    for p in sorted({float(p) for p in closure_points}):
+        j = int(np.searchsorted(grid, p))
+        if j < len(grid) and abs(grid[j] - p) <= 1e-12:
+            inside = j - (out[-1] + 1 if out else 0)
+            if inside < 3:
+                raise SolverDataError(
+                    f"closure point {p:g} has {inside} grid points before it "
+                    "in its window; the closure rule needs 3")
             out.append(j)
     return out
 
@@ -390,7 +400,7 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
     if not S.monotone:
         raise SolverDataError("a bracket certificate needs a monotone system")
     grid = S.grid
-    cidx = sorted(closure_indices(grid, S.closure_points))
+    cidx = closure_indices(grid, S.closure_points)
     ends = cidx if cidx and cidx[-1] == len(grid) - 1 else cidx + [len(grid) - 1]
 
     fns = lambda vs: [GridFn(grid, v) for v in vs]
@@ -799,7 +809,7 @@ def windowed_envelope(M: MajorantOp, tol: float = 1e-9,
     M.spot_check_sublinear()
     grid = M.grid
     n = len(grid)
-    cidx = sorted(closure_indices(grid, M.closure_points))
+    cidx = closure_indices(grid, M.closure_points)
     ends = cidx if cidx and cidx[-1] == n - 1 else cidx + [n - 1]
     w0 = as_grid(M.w0, grid)
     env = np.full(n, math.inf)

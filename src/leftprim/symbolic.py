@@ -13,8 +13,7 @@ Every node knows
   construction,
 * its exact jump set (rationals, as ``Fraction``) on a query interval,
 * certified oscillation and sup bounds on arrays of cells that do not
-  straddle a declared cut, which drive the oscillation-partition refinement
-  (the scalar forms derive from the array forms),
+  straddle a declared cut, which drive the oscillation-partition refinement,
 * a closed-form integral where one exists (``None`` otherwise),
 * a singularity class used by the integrability classifier.
 
@@ -133,14 +132,6 @@ class Expr:
     # Every node gives its certified bounds in array form only, on cells
     # (u, v] that straddle none of its bound cuts: osc_bound_array(us, vs)
     # bounds the oscillation, sup_bound_array(us, vs) bounds |f|.
-
-    def osc_bound(self, u, v) -> float:
-        return float(self.osc_bound_array(np.array([float(u)]),
-                                          np.array([float(v)]))[0])
-
-    def sup_bound(self, u, v) -> float:
-        return float(self.sup_bound_array(np.array([float(u)]),
-                                          np.array([float(v)]))[0])
 
     def integral(self, a, b, tol=1e-12):
         """(integral over [a, b], error bound) in closed form, or None."""
@@ -830,39 +821,6 @@ class AbsExpr(_Composite):
 
     def sup_bound_array(self, us, vs):
         return self.inner.sup_bound_array(us, vs)
-
-
-class SmoothWrap(_Composite):
-    """sin/cos/arctan/tanh of an inner expression (all 1-Lipschitz)."""
-
-    _FNS = {"sin": np.sin, "cos": np.cos, "arctan": np.arctan, "tanh": np.tanh}
-
-    def __init__(self, fn: str, inner):
-        if fn not in self._FNS:
-            raise ValueError(f"unknown smooth wrapper {fn!r}")
-        super().__init__(inner)
-        self.fn = fn
-        self.inner = inner
-
-    def ev(self, t, side=0):
-        return float(self._FNS[self.fn](float(self.inner.ev(t, side))))
-
-    def ev_array(self, ts):
-        return self._FNS[self.fn](self.inner.ev_array(ts))
-
-    def osc_bound_array(self, us, vs):
-        return np.minimum(2.0, self.inner.osc_bound_array(us, vs))
-
-    def sup_bound_array(self, us, vs):
-        cap = math.pi / 2 if self.fn == "arctan" else 1.0
-        if self.fn == "cos":
-            return np.full(np.shape(us), cap)
-        # sin, arctan, tanh vanish at 0 and are 1-Lipschitz
-        return np.minimum(cap, self.inner.sup_bound_array(us, vs))
-
-    def sing_class(self):
-        # the composition is bounded; at worst second-kind oscillation remains
-        return min(self.inner.sing_class(), COND)
 
 
 class RecipT(Expr):

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 
 from leftprim import builders as B
 from leftprim.cli import main
 from leftprim.funcspace import RegulatedFn
-from leftprim.reporting import (RunReport, dump_config, export, frac_str,
-                                load_config, parse_frac, stepfn_from_doc,
-                                stepfn_to_doc)
+from leftprim.reporting import (export, frac_str, load_config, parse_frac,
+                                stepfn_from_doc)
 from leftprim.stepfn import StepFn, random_stepfn
 
 F = Fraction
@@ -22,6 +22,19 @@ F = Fraction
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def to_doc(f: StepFn) -> dict:
+    """The "p/q" cell encoding that stepfn_from_doc reads."""
+    return {"base_point": frac_str(f.breaks[0]),
+            "base_value": frac_str(f.base_value),
+            "cells": [{"x": frac_str(x), "y": frac_str(y), "v": frac_str(v)}
+                      for x, y, v in f.to_cells()]}
+
+
+def dump(doc: dict, path):
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 def test_integrate_command(tmp_path, capsys):
@@ -71,11 +84,11 @@ def test_stepfn_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     for _ in range(25):
         f = random_stepfn(rng)
-        doc = stepfn_to_doc(f)
+        doc = to_doc(f)
         g = stepfn_from_doc(doc)
         assert g == f
     path = tmp_path / "step.yaml"
-    dump_config({"stepfn": stepfn_to_doc(f)}, path)
+    dump({"stepfn": to_doc(f)}, path)
     h = stepfn_from_doc(load_config(path)["stepfn"])
     assert h == f
 
@@ -89,7 +102,7 @@ def test_frac_parsing():
 def test_export_heaviside_rows(tmp_path):
     h = B.heaviside()
     path = tmp_path / "h.csv"
-    export(h, str(path), "csv", grid=4)
+    export(h, str(path), grid=4)
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["t", "value"]
     by_t = {r[0]: r[1] for r in rows[1:]}
@@ -106,17 +119,32 @@ def test_export_trace_stage_count(tmp_path):
     assert "start" in stages
     assert len(tr.labels) == 1 + rep.stabilization["generic_down"] + 1
     path = tmp_path / "trace.csv"
-    export(tr, str(path), "csv", grid=rep.system.grid, thin=64)
+    export(tr, str(path), grid=rep.system.grid, thin=64)
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["stage", "t", "y1", "y2"]
     assert len({r[0] for r in rows[1:]}) == len(tr.labels)
 
 
+def test_example_ex01_csv_is_the_trace(tmp_path, capsys):
+    path = tmp_path / "ex01.csv"
+    assert run_cli("example", "ex01", "--T", "2", "--grid", "64",
+                   "--format", "csv", "--out", str(path)) == 0
+    rows = list(csv.reader(open(path, newline="")))
+    assert rows[0] == ["stage", "t", "y1"]
+    assert rows[1][0] == "window 1 start"
+
+
+def test_example_ex01_too_coarse_for_the_closure_exits_1(capsys):
+    assert run_cli("example", "ex01", "--T", "5", "--grid", "3") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("leftprim example: ") and err.count("\n") == 1
+
+
 def test_solve_config_random_system(tmp_path, capsys):
     cfg = tmp_path / "sys.yaml"
-    dump_config({"system": "random_monotone", "dimension": 2, "seed": 7,
-                 "grid": 64, "tol": 1e-9, "max_steps": 400,
-                 "initial_values": [0.0, 0.5]}, cfg)
+    dump({"system": "random_monotone", "dimension": 2, "seed": 7,
+          "grid": 64, "tol": 1e-9, "max_steps": 400,
+          "initial_values": [0.0, 0.5]}, cfg)
     assert run_cli("solve", str(cfg)) == 0
     out = capsys.readouterr().out
     assert "smallest_at_T" in out and "residuals" in out
@@ -124,8 +152,8 @@ def test_solve_config_random_system(tmp_path, capsys):
 
 def test_deterministic_csv(tmp_path):
     cfg = tmp_path / "sys.yaml"
-    dump_config({"system": "random_monotone", "dimension": 2, "seed": 11,
-                 "grid": 64}, cfg)
+    dump({"system": "random_monotone", "dimension": 2, "seed": 11,
+          "grid": 64}, cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("solve", str(cfg), "--format", "csv", "--out", str(p1)) == 0
     assert run_cli("solve", str(cfg), "--format", "csv", "--out", str(p2)) == 0

@@ -176,10 +176,8 @@ cases = [
     (ValueError, lambda: sym.Monomial(-1)),
     (ValueError, lambda: sym.Shape("tan", 1)),
     (ValueError, lambda: sym.GFactor("C")),
-    (ValueError, lambda: sym.SmoothWrap("exp", sym.Const(1))),
     (ValueError, lambda: oscillatory_reciprocal("sin", 1, 1.0)),
     (DomainError, lambda: oscillatory_t_trig("sin", 1.0, 0.5)),
-    (TypeError, lambda: export(IterationTrace("up"), path + ".txt", "report")),
     (ValueError, lambda: export(IterationTrace("up"), path + ".csv")),
     (ValueError, lambda: AlternatingIndicatorTail(0)),
 ]
@@ -199,8 +197,8 @@ def test_data_errors_raise_under_optimize(flags, tmp_path):
                          text=True, timeout=120, check=True)
     assert out.stdout.split() == [
         "StepDataError", "StepDataError", "DomainError", "StepDataError",
-        "ValueError", "ValueError", "ValueError", "ValueError", "ValueError",
-        "DomainError", "TypeError", "ValueError", "ValueError"]
+        "ValueError", "ValueError", "ValueError", "ValueError", "DomainError",
+        "ValueError", "ValueError"]
     assert not (tmp_path / "doc.csv").exists()  # refused before opening it
 
 

@@ -1,76 +1,22 @@
-"""The primitive order, Stieltjes uniform convergence, uniqueness-certificate
-soundness, and the weighted-operator bracket construction."""
+"""Stieltjes uniform convergence, uniqueness-certificate soundness, and the
+weighted-operator bracket construction."""
 
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from leftprim import builders as B
 from leftprim import systems as SY
 from leftprim.funcspace import RegulatedFn, norm, step_approximation
 from leftprim.gauge import stieltjes
-from leftprim.integral import Distribution, order_le
+from leftprim.integral import Distribution
 from leftprim.intervals import Interval
 from leftprim.solver import (GridFn, SubSuperPair, as_grid, bounds_to_subsuper,
                              iterate_chain, make_grid, residual,
                              smallest_greatest, uniqueness_chain)
-from leftprim.stepfn import PiecewisePoly, StepFn, random_stepfn
-from leftprim.symbolic import SmoothWrap, Monomial, RecipT
+from leftprim.stepfn import PiecewisePoly, StepFn
 
 F = Fraction
-
-
-# -- the primitive partial order -------------------------------------------------
-
-
-def test_order_is_partial_order_on_steps():
-    rng = np.random.default_rng(31)
-    ds = [Distribution(RegulatedFn.from_step(random_stepfn(rng)))
-          for _ in range(12)]
-    for f in ds:
-        assert order_le(f, f)  # reflexive
-    for f in ds:
-        for g in ds:
-            if order_le(f, g) and order_le(g, f):
-                # antisymmetry: equal primitives
-                assert f.primitive.to_step() == g.primitive.to_step()
-            for h in ds:
-                if order_le(f, g) and order_le(g, h):
-                    assert order_le(f, h)  # transitive
-
-
-def test_order_isomorphism_with_primitive_domination():
-    rng = np.random.default_rng(5)
-    s = random_stepfn(rng)
-    f = Distribution(RegulatedFn.from_step(s))
-    g = Distribution(RegulatedFn.from_step(s + F(1, 3)))
-    assert order_le(f, g) and not order_le(g, f)
-
-
-def test_order_not_pointwise_on_densities():
-    # a distribution with nonnegative primitive dominates zero in the
-    # primitive order even when no pointwise comparison makes sense
-    bump = SmoothWrap("sin", Monomial(2))  # sin(t^2) >= 0 near 0... varies
-    prim = RegulatedFn.from_expr(bump, Interval(F(0), F(1)))
-    zero = Distribution(RegulatedFn.from_step(StepFn.constant(0, 1, F(0))))
-    f = Distribution(prim)
-    assert order_le(zero, f)  # sin(t^2) >= 0 on [0, 1]
-
-
-# -- smooth wrappers ----------------------------------------------------------------
-
-
-def test_smooth_wrap_nodes():
-    import math
-    for name, ref in [("sin", math.sin), ("cos", math.cos),
-                      ("arctan", math.atan), ("tanh", math.tanh)]:
-        e = SmoothWrap(name, Monomial(1))
-        assert e.ev(0.7) == pytest.approx(ref(0.7))
-        assert e.osc_bound(0.2, 0.3) <= 0.1 + 1e-12
-    # bounded composition of a divergent inner stays bounded
-    w = SmoothWrap("tanh", RecipT())
-    assert abs(w.ev(0.01)) <= 1.0
 
 
 # -- Stieltjes uniform convergence -----------------------------------------------------

@@ -110,8 +110,8 @@ def test_alexiewicz_coincident_points_add_zero():
     # point adds 0, as integrate_regulated does for a == b, even where the
     # primitive is infinite (inf - inf would poison the sum)
     iv = Interval(F(0), F(1))
-    P = RegulatedFn.from_expr(_SpikeAt(0.5), iv)
-    f = RegulatedFn.from_expr(sym.Const(1.0), iv, primitive=P)
+    P = RegulatedFn(_SpikeAt(0.5), iv)
+    f = RegulatedFn(sym.Const(1.0), iv, primitive=P)
     J = Interval(0.5, 0.5 + 1e-15)
     with np.errstate(invalid="ignore"):
         got = norm(f, "alexiewicz", J)
@@ -211,13 +211,11 @@ def test_continuous_terms_are_zero_at_phi_zero():
 
 
 def test_kernel_nodes_agree_on_points():
-    # Monomial, Shape, GFactor and SmoothWrap evaluate one point through
-    # their array kernel too (a float's ** calls libm pow, numpy's does not)
+    # Monomial, Shape and GFactor evaluate one point through their array
+    # kernel too (a float's ** calls libm pow, numpy's does not)
     ts = np.random.default_rng(11).uniform(0.01, 1, 200)
     for e in (sym.Monomial(2), sym.Monomial(3), sym.Shape("sin", -1),
-              sym.Shape("cos", +1), sym.GFactor("A"), sym.GFactor("B"),
-              sym.SmoothWrap("tanh", sym.Monomial(3)),
-              sym.SmoothWrap("arctan", sym.OscCosTerm(2))):
+              sym.Shape("cos", +1), sym.GFactor("A"), sym.GFactor("B")):
         arr = e.ev_array(ts)
         assert [e.ev(t) for t in ts.tolist()] == arr.tolist(), type(e).__name__
 

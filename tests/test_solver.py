@@ -236,15 +236,15 @@ def test_ceil_norm_steps():
     x1 = RegulatedFn.from_step(StepFn.indicator(0, 1))
     x2 = RegulatedFn.from_step(2 * StepFn.indicator(F(1, 2), 1, 0, 1))
     out = ceil_norm([x1, x2])
-    s = out.to_step()
+    s = out.payload
     assert s(F(1, 4)) == 1 and s(F(3, 4)) == 2
 
 
 def test_ceil_norm_zero_iff_all_zero():
     z = RegulatedFn.from_step(StepFn.constant(0, 1, F(0)))
     nz = RegulatedFn.from_step(StepFn.indicator(F(1, 2), 1, 0, 1))
-    assert ceil_norm([z, z]).to_step().sup_norm() == 0
-    assert ceil_norm([z, nz]).to_step().sup_norm() != 0
+    assert ceil_norm([z, z]).payload.sup_norm() == 0
+    assert ceil_norm([z, nz]).payload.sup_norm() != 0
 
 
 def test_ceil_norm_symmetric_pair():

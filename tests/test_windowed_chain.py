@@ -187,3 +187,32 @@ def test_a_grid_through_points_on_the_uniform_grid_is_the_uniform_grid():
     assert np.array_equal(SV.make_grid(0, 5, 256, include=range(1, 6)),
                           np.linspace(0, 5, 1281))
     assert np.array_equal(SV.make_grid(0, 1, 4096), np.linspace(0, 1, 4097))
+
+
+# -- windows too short for the closure rule ------------------------------------------------
+
+
+@pytest.mark.parametrize("per_unit", [2, 3])
+def test_a_window_too_short_for_the_closure_rule_raises(per_unit):
+    # the closure reads the three grid points before its point; at 2 per unit
+    # t = 1 has two, at 3 per unit t = 2 has only 1 + 2/3 and 1 + 1/3 in its
+    # window, and reading back across t = 1 crosses ex01's jump there
+    with pytest.raises(SV.SolverDataError, match="closure rule needs 3"):
+        run_ex01(T=5, per_unit=per_unit)
+
+
+def test_four_points_per_unit_are_enough_for_the_closure_rule():
+    out = run_ex01(T=5, per_unit=4).outputs
+    assert out["closed_form_sup_error"] <= 1e-9
+    assert out["uniqueness_certified"] is True
+
+
+def test_closure_indices_reads_only_its_own_window():
+    grid = np.linspace(0, 2, 9)  # 1 at index 4, 2 at index 8
+    assert SV.closure_indices(grid, (2, 1)) == [4, 8]
+    assert SV.closure_indices(grid, (1, 2.5)) == [4]  # 2.5 is off the grid
+    assert SV.closure_indices(grid, (0.75, 1.75)) == [3, 7]  # 4, 5, 6 inside
+    with pytest.raises(SV.SolverDataError, match="1.25 has 1 grid points"):
+        SV.closure_indices(grid, (0.75, 1.25))
+    with pytest.raises(SV.SolverDataError, match="0.25 has 1 grid points"):
+        SV.closure_indices(grid, (0.25,))
