@@ -46,8 +46,8 @@ class RegulatedFn:
     @property
     def kind(self) -> str:
         """``step`` / ``poly`` for exact leaves, ``lincomb`` / ``product`` /
-        ``symbolic`` otherwise (derived from the root node)."""
-        return _KINDS.get(type(self.expr), "symbolic")
+        ``symbolic`` otherwise: the root node's declared ``kind``."""
+        return self.expr.kind
 
     @property
     def payload(self):
@@ -140,17 +140,11 @@ class RegulatedFn:
         hi = self.interval.hi if hi is None else hi
         return self.expr.jumps(lo, hi)
 
-    def bound_cuts(self, lo, hi):
-        return self.expr.bound_cuts(lo, hi)
-
     def osc_bound_array(self, us, vs):
         return self.expr.osc_bound_array(us, vs)
 
     def sup_bound_cells(self, us, vs):
         return self.expr.sup_bound_array(us, vs)
-
-    def sing_class(self) -> int:
-        return self.expr.sing_class()
 
     # arithmetic sugar (used heavily by the solver and tests)
     def __add__(self, other):
@@ -164,10 +158,6 @@ class RegulatedFn:
 
     def __neg__(self):
         return RegulatedFn.lincomb([(-1, self)], self.interval)
-
-
-_KINDS = {sym.StepLeaf: "step", sym.PolyLeaf: "poly", sym.Sum: "lincomb",
-          sym.Scale: "lincomb", sym.Product: "product"}
 
 
 def _like(c, v):
@@ -192,6 +182,15 @@ def limits(f: RegulatedFn, t):
     left = val if t == f.interval.lo else f.left_limit(t)
     right = f.right_limit(t)
     return left, val, right
+
+
+def _cut_cells(f: RegulatedFn, J: Interval):
+    """Float cells (us, vs] of J between its ends and the expression's bound
+    cuts inside it."""
+    lo, hi = float(J.lo), float(J.hi)
+    cuts = sorted({lo, hi}.union(float(c) for c in f.expr.bound_cuts(J.lo, J.hi)
+                                 if lo < float(c) < hi))
+    return np.array(cuts[:-1]), np.array(cuts[1:])
 
 
 @dataclass
@@ -229,13 +228,10 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
                                     True, [])
 
     w_floor = (hi - lo) * 2.0 ** -48
-    cuts = sorted({lo, hi}.union(float(c) for c in f.bound_cuts(J.lo, J.hi)
-                                 if lo < float(c) < hi))
     grid = np.linspace(lo, hi, _PROBES + 1)
     target = 1.0 / n
 
-    us = np.array(cuts[:-1])
-    vs = np.array(cuts[1:])
+    us, vs = _cut_cells(f, J)
     done_u, done_v = [], []
     residual = []
     total = len(us)
@@ -416,11 +412,8 @@ def classify(F: RegulatedFn, J: Interval = None) -> Classification:
     J = J or F.interval
     if F.kind in ("step", "poly"):
         return Classification(True, True, True, True)
-    sing = F.sing_class()
-    lo, hi = float(J.lo), float(J.hi)
-    cuts = sorted({lo, hi}.union(
-        float(c) for c in F.bound_cuts(J.lo, J.hi) if lo < float(c) < hi))
-    us, vs = np.array(cuts[:-1]), np.array(cuts[1:])
+    sing = F.expr.sing_class()
+    us, vs = _cut_cells(F, J)
     # local boundedness is equivalent to local Riemann integrability for
     # left-regulated functions (a.e. continuity comes free)
     bounded = bool(np.all(np.isfinite(F.sup_bound_cells(us, vs))))

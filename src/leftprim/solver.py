@@ -202,11 +202,13 @@ def _fn_plus_const(fn: RegulatedFn, c) -> RegulatedFn:
 
 
 def closure_indices(grid: np.ndarray, closure_points) -> list:
-    """Ascending grid indices of the closure points that lie on the grid.
+    """Ascending grid indices of the closure points; points beyond the grid
+    are ignored.
 
-    The closure rule at index j reads the grid points j-3, j-2 and j-1; they
+    A point strictly inside the grid's span must be a grid point.  The
+    closure rule at index j reads the grid points j-3, j-2 and j-1; they
     must lie strictly inside j's own window, after the previous closure
-    point, or :class:`SolverDataError` is raised."""
+    point.  Otherwise :class:`SolverDataError` is raised."""
     out = []
     for p in sorted({float(p) for p in closure_points}):
         j = int(np.searchsorted(grid, p))
@@ -217,6 +219,8 @@ def closure_indices(grid: np.ndarray, closure_points) -> list:
                     f"closure point {p:g} has {inside} grid points before it "
                     "in its window; the closure rule needs 3")
             out.append(j)
+        elif grid[0] < p < grid[-1]:
+            raise SolverDataError(f"closure point {p!r} lies on no grid point")
     return out
 
 

@@ -4,8 +4,9 @@ Expression nodes are the package's one function protocol.  Leaves hold exact
 step and piecewise-polynomial data (:class:`StepLeaf`, :class:`PolyLeaf`),
 the truncated oscillatory series built from ``frac(n t)`` compositions,
 floor/Heaviside steps, monomials, and the ``t * trig(1/t)`` shapes; sums,
-scalings, products, pointwise extremes and absolute values combine them.
-Every node knows
+scalings, products, pointwise extremes and absolute values combine them,
+each with one combine of its children's values that serves the point, the
+domain-minimum and the array paths alike.  Every node knows
 
 * its value with one-sided branch selection (``side`` -1/0/+1 for left
   limit / value / right limit); by convention the value at a declared jump
@@ -36,8 +37,6 @@ SNAP = 1e-9
 
 # singularity classes, ordered by severity
 BOUNDED, ABS, COND, DIV = 0, 1, 2, 3
-SING_NAMES = {BOUNDED: "bounded", ABS: "abs-integrable",
-              COND: "conditional", DIV: "divergent"}
 
 
 class SecondKindLimit(ArithmeticError):
@@ -108,7 +107,10 @@ def primitive_difference(P, a, b):
 
 
 class Expr:
-    """Base node; subclasses override the protocol methods."""
+    """Base node; subclasses override the protocol methods.  ``kind`` names
+    the node for :attr:`leftprim.funcspace.RegulatedFn.kind`."""
+
+    kind = "symbolic"
 
     def ev(self, t, side=0) -> float:
         raise NotImplementedError
@@ -139,25 +141,6 @@ class Expr:
 
     def sing_class(self) -> int:
         return BOUNDED
-
-    # sugar
-    def __add__(self, other):
-        other = other if isinstance(other, Expr) else Const(other)
-        return Sum([self, other])
-
-    def __mul__(self, other):
-        if isinstance(other, Expr):
-            return Product(self, other)
-        return Scale(other, self)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scale(-1, self)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Expr) else Const(other)
-        return Sum([self, Scale(-1, other)])
 
 
 class _ExactLeaf(Expr):
@@ -195,6 +178,8 @@ class StepLeaf(_ExactLeaf):
     the other nodes), so a bound cell ``(u, float(b)]`` cut at b holds only
     the values its bound covers, even where ``float(b) > b``."""
 
+    kind = "step"
+
     def ev_array(self, ts):
         sf = self.data
         cells = float_cells(sf.breaks, ts, exact=False)
@@ -211,6 +196,8 @@ class StepLeaf(_ExactLeaf):
 
 class PolyLeaf(_ExactLeaf):
     """A :class:`~leftprim.stepfn.PiecewisePoly`."""
+
+    kind = "poly"
 
     def ev_array(self, ts):
         return self.data.eval_cells(ts, float_cells(self.data.breaks, ts,
@@ -504,9 +491,6 @@ class SqrtFloorTerm(SeriesTerm):
         fl = FloorRight(self.n).ev_array(ts)
         return (fl + np.sqrt(phi)) / self.n
 
-    def jumps(self, lo, hi):
-        return []
-
     def osc_bound_array(self, us, vs):
         phi_lo, phi_hi = _frac_cell(self.n, us, vs)
         return (np.sqrt(phi_hi) - np.sqrt(np.maximum(phi_lo, 0.0))) / self.n
@@ -593,14 +577,14 @@ class GFactor(Expr):
     def __init__(self, kind):
         if kind not in ("A", "B"):
             raise ValueError(f"unknown GFactor kind {kind!r}")
-        self.kind = kind
+        self.variant = kind
 
     def primitive_shape(self) -> Shape:
-        return Shape("sin", -1) if self.kind == "A" else Shape("cos", +1)
+        return Shape("sin", -1) if self.variant == "A" else Shape("cos", +1)
 
     def _kernel(self, r):
         """The value at t = 1/r > SNAP; one formula for points and arrays."""
-        if self.kind == "A":
+        if self.variant == "A":
             return r * np.cos(r) - np.sin(r) + 1
         return r * np.sin(r) + np.cos(r) + 1
 
@@ -641,10 +625,20 @@ class GFactor(Expr):
 
 class _Composite(Expr):
     """A node built from child expressions: jumps and cuts merge, the
-    singularity class is the worst of the children's."""
+    singularity class is the worst of the children's, and every evaluation
+    path defaults to ``_op`` of the children's values on that path."""
 
     def __init__(self, *children):
         self.children = children
+
+    def ev(self, t, side=0):
+        return self._op(*(x.ev(t, side) for x in self.children))
+
+    def ev_min(self, t):
+        return self._op(*(x.ev_min(t) for x in self.children))
+
+    def ev_array(self, ts):
+        return self._op(*(x.ev_array(ts) for x in self.children))
 
     def jumps(self, lo, hi):
         return _merge_jumps(x.jumps(lo, hi) for x in self.children)
@@ -658,8 +652,10 @@ class _Composite(Expr):
 
 class Scale(_Composite):
     """c * inner.  ``c`` stays exact in ``ev`` (a Fraction times exact data
-    is exact); the array paths use float(c).  ``primitive`` is an optional
+    is exact); the array path uses float(c).  ``primitive`` is an optional
     registered antiderivative of ``inner`` (anything with ``value(t)``)."""
+
+    kind = "lincomb"
 
     def __init__(self, c, inner, primitive=None):
         super().__init__(inner)
@@ -667,11 +663,8 @@ class Scale(_Composite):
         self.inner = inner
         self.primitive = primitive
 
-    def ev(self, t, side=0):
-        return self.c * self.inner.ev(t, side)
-
-    def ev_min(self, t):
-        return self.c * self.inner.ev_min(t)
+    def _op(self, v):
+        return self.c * v
 
     def ev_array(self, ts):
         return float(self.c) * self.inner.ev_array(ts)
@@ -697,6 +690,8 @@ class Scale(_Composite):
 
 
 class Sum(_Composite):
+    kind = "lincomb"
+
     def __init__(self, terms):
         flat = []
         for t in terms:
@@ -706,13 +701,11 @@ class Sum(_Composite):
                 flat.append(t)
         super().__init__(*flat)
 
-    def ev(self, t, side=0):
-        return sum(x.ev(t, side) for x in self.children)
-
-    def ev_min(self, t):
-        return sum(x.ev_min(t) for x in self.children)
+    def _op(self, *values):
+        return sum(values)
 
     def ev_array(self, ts):
+        # accumulates in place from zeros, so an empty sum is an array too
         ts = np.asarray(ts, dtype=float)
         acc = np.zeros_like(ts)
         for x in self.children:
@@ -740,33 +733,29 @@ class Sum(_Composite):
 
 
 class Product(_Composite):
+    kind = "product"
+
     def __init__(self, a, b):
         super().__init__(a, b)
-        self.a = a
-        self.b = b
+        self.a, self.b = a, b
+
+    def _op(self, va, vb):
+        return va * vb
 
     def ev(self, t, side=0):
         try:
             va = self.a.ev(t, side)
         except SecondKindLimit:
             # a bounded-to-zero partner can still force the limit to zero
-            vb = self.b.ev(t, side)
-            if vb == 0.0:
+            if self.b.ev(t, side) == 0.0:
                 return 0.0
             raise
         try:
-            vb = self.b.ev(t, side)
+            return va * self.b.ev(t, side)
         except SecondKindLimit:
             if va == 0.0:
                 return 0.0
             raise
-        return va * vb
-
-    def ev_min(self, t):
-        return self.a.ev_min(t) * self.b.ev_min(t)
-
-    def ev_array(self, ts):
-        return self.a.ev_array(ts) * self.b.ev_array(ts)
 
     def osc_bound_array(self, us, vs):
         sa, sb = self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs)
@@ -783,13 +772,8 @@ class PointwiseExtreme(_Composite):
         super().__init__(a, b)
         self.a, self.b, self.is_max = a, b, is_max
 
-    def ev(self, t, side=0):
-        op = max if self.is_max else min
-        return op(self.a.ev(t, side), self.b.ev(t, side))
-
-    def ev_min(self, t):
-        op = max if self.is_max else min
-        return op(self.a.ev_min(t), self.b.ev_min(t))
+    def _op(self, va, vb):
+        return max(va, vb) if self.is_max else min(va, vb)
 
     def ev_array(self, ts):
         op = np.maximum if self.is_max else np.minimum
@@ -807,14 +791,8 @@ class AbsExpr(_Composite):
         super().__init__(inner)
         self.inner = inner
 
-    def ev(self, t, side=0):
-        return abs(self.inner.ev(t, side))
-
-    def ev_min(self, t):
-        return abs(self.inner.ev_min(t))
-
-    def ev_array(self, ts):
-        return np.abs(self.inner.ev_array(ts))
+    def _op(self, v):
+        return abs(v)
 
     def osc_bound_array(self, us, vs):
         return self.inner.osc_bound_array(us, vs)

@@ -8,9 +8,11 @@ import pytest
 import scipy.integrate
 
 from leftprim import builders as B
+from leftprim import symbolic as sym
 from leftprim.funcspace import (RegulatedFn, classify, fd_derivative_check,
                                 integrate_regulated, lattice, limits,
-                                local_metric, norm, step_approximation)
+                                local_metric, neg_fn, norm, pos_fn,
+                                step_approximation)
 from leftprim.intervals import DomainError, Interval
 from leftprim.quadrature import IntegrabilityError
 from leftprim.stepfn import StepFn, random_stepfn
@@ -138,6 +140,27 @@ def test_lattice_meet_symbolic():
     assert m.value(0.75) == pytest.approx(0.25)
 
 
+def test_pos_neg_parts_of_step_data():
+    f = RegulatedFn.from_step(random_stepfn(np.random.default_rng(8)))
+    p, n = pos_fn(f), neg_fn(f)
+    assert p.kind == n.kind == "step"
+    assert min(p.payload.values) >= 0 and min(n.payload.values) >= 0
+    assert p.payload - n.payload == f.payload
+
+
+def test_pos_neg_parts_of_a_symbolic_function():
+    # E47_G(m=3) minus 1/4 takes both signs; its jumps sit at 1/3, 1/2, 2/3
+    f = RegulatedFn.lincomb([(1, B.osc_series_G(3)), (F(-1, 4), B.monomial(0))])
+    p, n = pos_fn(f), neg_fn(f)
+    ts = np.linspace(0, 1, 401)
+    fv, pv, nv = f.sample(ts), p.sample(ts), n.sample(ts)
+    assert fv.min() < 0 < fv.max()
+    assert pv.min() >= 0 and nv.min() >= 0
+    assert np.array_equal(pv - nv, fv)
+    for t in (0, F(1, 3), F(1, 2), 0.3, 1):
+        assert p.value(t) - n.value(t) == f.value(t)
+
+
 def test_lattice_mismatched_interval():
     f = RegulatedFn.from_step(StepFn.indicator(0, 1))
     g = RegulatedFn.from_step(StepFn.indicator(0, 2))
@@ -239,6 +262,15 @@ def test_sup_norm_of_unbounded_raises():
         norm(B.sqrt_series_Gm(2), "sup")
 
 
+def test_classify_exact_data_is_certified():
+    step = RegulatedFn.from_step(random_stepfn(np.random.default_rng(2)))
+    poly = RegulatedFn.from_poly(step.payload.cumulative())
+    for f in (step, poly):
+        c = classify(f)
+        assert (c.locally_riemann, c.locally_lebesgue, c.locally_hk,
+                c.certified) == (True, True, True, True)
+
+
 def test_classify_consistency_chain():
     for name, params in [("E47_G", {"m": 2}), ("E611_F", {"m": 3}),
                          ("E409_Gm", {"m": 2}), ("E407_Gm", {"m": 2}),
@@ -283,6 +315,25 @@ def test_registry_vs_quadrature_cross_check():
         limit=400, epsabs=1e-12)
     r, _ = integrate_regulated(gB, 0.05, 0.3)
     assert abs(r - w) <= 1e-8 + werr
+
+
+def test_g_factors_integrate_in_closed_form_inside_a_sum():
+    # no registered primitive: the sum integrates term by term through each
+    # factor's primitive shape, t (1 - sin(1/t)) for A and t (1 + cos(1/t)) for B
+    gA, gB = sym.GFactor("A"), sym.GFactor("B")
+    assert (gA.primitive_shape().trig, gA.primitive_shape().sign) == ("sin", -1)
+    assert (gB.primitive_shape().trig, gB.primitive_shape().sign) == ("cos", +1)
+    f = RegulatedFn(sym.Sum([sym.Scale(2, gA), gB]), Interval(0, 1))
+    assert f.primitive is None
+    shape_a = lambda t: t * (1 - math.sin(1 / t))
+    shape_b = lambda t: t * (1 + math.cos(1 / t))
+    a, b = 0.2, 0.9
+    v, e = integrate_regulated(f, a, b)
+    assert v == pytest.approx(2 * (shape_a(b) - shape_a(a)) + shape_b(b) - shape_b(a),
+                              abs=1e-14)
+    w, werr = scipy.integrate.quad(lambda s: float(f.sample(np.array([s]))[0]),
+                                   a, b, epsabs=1e-12)
+    assert abs(v - w) <= 1e-10 + werr and e <= 1e-14
 
 
 def test_integrate_divergent_raises():

@@ -8,10 +8,10 @@ import pytest
 import scipy.integrate
 
 from leftprim import builders as B
-from leftprim.funcspace import RegulatedFn, abs_fn, neg_fn, pos_fn
-from leftprim.integral import (Distribution, Multiplier, TestFn, cumulative,
-                               dirac, hake, pairing, parts, primitive_integral,
-                               product)
+from leftprim.funcspace import RegulatedFn
+from leftprim.integral import (Distribution, Multiplier, MultiplierError, TestFn,
+                               cumulative, dirac, hake, pairing, parts,
+                               primitive_integral, product)
 from leftprim.intervals import DomainError
 from leftprim.stepfn import PiecewisePoly, StepFn, random_stepfn
 
@@ -199,6 +199,18 @@ def test_parts_smooth_against_classical_quadrature():
     oracle, _ = scipy.integrate.quad(lambda t: 2 * t * t, 0, 1)
     assert float(value) == pytest.approx(oracle, abs=1e-10)
     assert abs(float(value)) <= float(bound)
+
+
+def test_multiplier_with_a_symbolic_density():
+    # g(x) = int_{1/4}^x t^2 dt = (x^3 - 1/64) / 3; Vh of t^2 on [0, 1] is 1
+    g = Multiplier(B.monomial(2), 0.25)
+    assert g.variation_certified is False
+    assert g.variation == pytest.approx(1.0, abs=1e-12)
+    for x in (0.0, 0.25, 0.6, 1.0):
+        assert g.g(x) == pytest.approx((x ** 3 - 0.25 ** 3) / 3, abs=1e-12)
+    assert g.density_sup() == 1.0
+    with pytest.raises(MultiplierError, match="step density"):
+        g.g_fn()
 
 
 def test_parts_zero_multiplier():

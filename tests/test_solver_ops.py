@@ -118,7 +118,7 @@ def test_majorant_matches_naive(T, per_unit):
 def test_closure_repair_matches_naive(T, per_unit):
     S = SY.ex01_system(H, T=T, per_unit=per_unit)
     rng = np.random.default_rng([T, per_unit, 3])
-    points = S.closure_points + (0.5 / per_unit, T + 1)  # off-grid, beyond
+    points = S.closure_points + (T + 1,)  # beyond the grid: ignored
     for v in _vectors(rng, len(S.grid)):
         prev = v + rng.normal(size=len(v))
         for sign in (1.0, -1.0, None):
@@ -127,6 +127,8 @@ def test_closure_repair_matches_naive(T, per_unit):
             assert np.array_equal(got, want)
         assert np.array_equal(closure_repair(S.grid, points, v),
                               naive_closure_repair(S.grid, points, v))
+        with pytest.raises(SV.SolverDataError, match="on no grid point"):
+            closure_repair(S.grid, points + (0.5 / per_unit,), v)
 
 
 # -- per-step work stays per chain ------------------------------------------------------

@@ -216,3 +216,14 @@ def test_closure_indices_reads_only_its_own_window():
         SV.closure_indices(grid, (0.75, 1.25))
     with pytest.raises(SV.SolverDataError, match="0.25 has 1 grid points"):
         SV.closure_indices(grid, (0.25,))
+
+
+def test_a_closure_point_on_no_grid_point_raises():
+    # 1.1 lies inside the grid's span, between its points 1 and 1.25
+    grid = np.linspace(0, 2, 9)
+    op = SY.ex01_operator(H, grid)
+    S = SV.CauchySystem(1, [lambda x: op(x[0])], [0.0], Interval(0, 2 + 1e-9),
+                        grid, closure_points=(1, 1.1), name="ex01")
+    with pytest.raises(SV.SolverDataError, match="1.1 lies on no grid point"):
+        iterate_chain(S, S.constant_start([-1.0]), "up")
+    assert SV.closure_indices(grid, (-1, 1, 2.5)) == [4]  # beyond: ignored
