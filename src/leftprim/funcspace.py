@@ -193,6 +193,19 @@ def _cut_cells(f: RegulatedFn, J: Interval):
     return np.array(cuts[:-1]), np.array(cuts[1:])
 
 
+def _first_probe(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(grid, u, side="right")`` on the uniform lattice."""
+    last = len(grid) - 1
+    k = np.floor((u - grid[0]) / ((grid[-1] - grid[0]) / last)) + 1
+    k = np.clip(k, 0, last + 1).astype(np.intp)
+    while True:  # move the estimate by one against the lattice until exact
+        down = (k > 0) & (grid[np.maximum(k - 1, 0)] > u)
+        up = (k <= last) & (grid[np.minimum(k, last)] <= u)
+        if not (down.any() or up.any()):
+            return k
+        k = k + up - down
+
+
 @dataclass
 class OscillationPartition:
     """Finite oscillation partition: cells (cuts[i], cuts[i+1]] with values."""
@@ -208,14 +221,15 @@ class OscillationPartition:
 def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPartition:
     """Left-open cell partition of J with per-cell oscillation <= 1/n.
 
-    Cells are seeded at the declared discontinuities and split by bisection
-    while a certified oscillation bound exceeds 1/n.  Refinement is driven by
-    a uniform probe lattice of ``_PROBES`` cells: a cell is split only while
-    some probe lies in its open interior, and never below the width floor
-    (hi - lo) 2^-48.  For exact step data the construction is exact and
-    certified; for symbolic functions cells at the width floor next to
-    second-kind discontinuities may keep oscillation above 1/n and are
-    reported in ``residual``.
+    Cells are seeded at the declared discontinuities and split by bisection,
+    one ``osc_bound_array`` call per level, while the bound exceeds 1/n, some
+    point of the uniform ``_PROBES``-cell lattice lies in the cell's open
+    interior, and the cell is wider than (hi - lo) 2^-48.  The first probe
+    right of a start u is floor((u - lo) / step) + 1, corrected by one at a
+    time against the lattice until exact.  Step data give the exact, certified
+    merge; symbolic cells at the width floor next to second-kind
+    discontinuities may keep oscillation above 1/n and are listed in
+    ``residual``.
     """
     if not J.is_compact:
         raise EstimationError(
@@ -232,22 +246,18 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
     target = 1.0 / n
 
     us, vs = _cut_cells(f, J)
-    done_u, done_v = [], []
-    residual = []
+    kept, residual = [], []
     total = len(us)
     while len(us):
         osc = f.osc_bound_array(us, vs)
         wide = (vs - us) > w_floor
         # probe strictly inside (u, v): first lattice point > u is < v
-        k = np.searchsorted(grid, us, side="right")
+        k = _first_probe(grid, us)
         has_probe = (k < len(grid)) & (grid[np.minimum(k, len(grid) - 1)] < vs)
         split = (osc > target) & wide & has_probe
         stuck = (osc > target) & ~wide
-        for u, v in zip(us[stuck], vs[stuck]):
-            residual.append((u, v))
-        keep = ~split
-        done_u.extend(us[keep])
-        done_v.extend(vs[keep])
+        residual.extend(zip(us[stuck], vs[stuck]))
+        kept.append(us[~split])
         mid = 0.5 * (us[split] + vs[split])
         us = np.concatenate([us[split], mid])
         vs = np.concatenate([mid, vs[split]])
@@ -255,8 +265,7 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
         if total > _MAX_CELLS:
             raise EstimationError(
                 f"oscillation partition exceeded {_MAX_CELLS} cells at n={n}")
-    order = np.argsort(done_u)
-    breaks = np.concatenate([np.array(done_u)[order], [hi]])
+    breaks = np.sort(np.concatenate([*kept, [hi]]))
     values = f.sample(breaks[1:])
     return OscillationPartition(n, J, breaks.tolist(), values.tolist(),
                                 False, residual)

@@ -205,14 +205,17 @@ def closure_indices(grid: np.ndarray, closure_points) -> list:
     """Ascending grid indices of the closure points; points beyond the grid
     are ignored.
 
-    A point strictly inside the grid's span must be a grid point.  The
+    A point matches the nearer of the grid points either side of it within
+    1e-12; one strictly inside the grid's span must match.  The
     closure rule at index j reads the grid points j-3, j-2 and j-1; they
     must lie strictly inside j's own window, after the previous closure
     point.  Otherwise :class:`SolverDataError` is raised."""
     out = []
     for p in sorted({float(p) for p in closure_points}):
         j = int(np.searchsorted(grid, p))
-        if j < len(grid) and abs(grid[j] - p) <= 1e-12:
+        if j > 0 and (j == len(grid) or p - grid[j - 1] < grid[j] - p):
+            j -= 1  # the nearer of the nodes either side of p
+        if abs(grid[j] - p) <= 1e-12:
             inside = j - (out[-1] + 1 if out else 0)
             if inside < 3:
                 raise SolverDataError(

@@ -43,3 +43,22 @@ def test_partition_is_pinned_bit_for_bit(name, m, n):
     part = FS.oscillation_partition(f, n, f.interval)
     assert _digests(part) == PINNED[name, m, n]
     assert (len(part.residual) > 0) == ((name, m, n) == ("E407_Gm", 2, 64))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.25, 0.25), (1 / 3, 7 / 5)])
+def test_first_probe_equals_a_binary_search_of_the_lattice(lo, hi):
+    grid = np.linspace(lo, hi, FS._PROBES + 1)
+    rng = np.random.default_rng(24)
+    us = np.concatenate([grid, np.nextafter(grid, -np.inf),
+                         np.nextafter(grid, np.inf), [lo, hi],
+                         rng.uniform(lo, hi, 100_000)])
+    k = FS._first_probe(grid, us)
+    assert k.dtype == np.intp
+    np.testing.assert_array_equal(k, np.searchsorted(grid, us, side="right"))
+
+
+def test_the_cell_cap_raises(monkeypatch):
+    monkeypatch.setattr(FS, "_MAX_CELLS", 1000)
+    f = B.build_function("E47_G", m=3)  # 13,603 cells at n = 16
+    with pytest.raises(EstimationError, match="exceeded 1000 cells at n=16"):
+        FS.oscillation_partition(f, 16, f.interval)

@@ -227,3 +227,13 @@ def test_a_closure_point_on_no_grid_point_raises():
     with pytest.raises(SV.SolverDataError, match="1.1 lies on no grid point"):
         iterate_chain(S, S.constant_start([-1.0]), "up")
     assert SV.closure_indices(grid, (-1, 1, 2.5)) == [4]  # beyond: ignored
+
+
+def test_closure_indices_tolerance_holds_on_both_sides():
+    grid = np.linspace(0, 2, 9)
+    assert SV.closure_indices(grid, (1 - 1e-13,)) == [4]
+    assert SV.closure_indices(grid, (1 + 1e-13,)) == [4]
+    assert SV.closure_indices(grid, (2 + 5e-13,)) == [8]
+    assert SV.closure_indices(grid, (2 + 2e-12,)) == []  # beyond: ignored
+    with pytest.raises(SV.SolverDataError, match="lies on no grid point"):
+        SV.closure_indices(grid, (1 + 2e-12,))
