@@ -1,10 +1,11 @@
 """Command-line driver.
 
-Subcommands: ``integrate``, ``norm``, ``stieltjes``, ``solve``,
-``example <name>``, ``suite <name>``.  Shared flags: ``--m``, ``--grid``,
-``--tol``, ``--T``, ``--seed``, ``--out``, ``--format``.  ``solve`` consumes
-a config file (key: value blocks); see the demos directory for worked
-inputs.
+Each subcommand takes only the flags it reads (any other exits 2):
+``integrate`` --m --tol --T --out; ``norm`` --m --grid --tol --T --out;
+``stieltjes`` --m --tol --T --out; ``example`` --m --grid --tol --T --out
+--format; ``solve`` --grid --tol --T --seed --out --format; ``suite`` --count
+--seed --out.  ``solve`` consumes a config file (key: value blocks); see the
+demos directory for worked inputs.
 """
 
 from __future__ import annotations
@@ -16,32 +17,41 @@ from fractions import Fraction
 import numpy as np
 
 from . import builders as B
-from . import gauge, intervals, quadrature, solver, stepfn, symbolic
+from . import gauge, intervals, quadrature, runs, solver, stepfn, symbolic
 from . import suites as SU
-from .funcspace import integrate_regulated, norm
+from . import systems as SY
+from .funcspace import integrate_regulated, limits, norm
 from .gauge import VariationError, stieltjes
-from .reporting import (RunReport, export, load_config, stepfn_from_doc)
+from .reporting import (ConfigError, RunReport, export, load_config,
+                        stepfn_from_doc)
 
 # the package's typed errors: reported as one stderr line, exit code 1
 _ERRORS = (intervals.DomainError, symbolic.SecondKindLimit, stepfn.StepDataError,
            quadrature.EstimationError, quadrature.IntegrabilityError,
            gauge.PartitionError, solver.MonotonicityError,
            solver.OrderBoundError, solver.FixedPointError,
-           solver.SolverDataError)
+           solver.SolverDataError, ConfigError)
+
+_FLAGS = {
+    "m": dict(type=int, default=None, help="series truncation depth"),
+    "grid": dict(type=int, default=4096,
+                 help="grid density per unit interval"),
+    "tol": dict(type=float, default=1e-10),
+    "T": dict(type=float, default=None,
+              help="domain truncation for unbounded problems"),
+    "seed": dict(type=int, default=0),
+    "out": dict(type=str, default=None, help="output file (default: stdout)"),
+    "format": dict(choices=("csv", "report"), default="report"),
+}
 
 
-def _common(p):
-    p.add_argument("--m", type=int, default=None,
-                   help="series truncation depth")
-    p.add_argument("--grid", type=int, default=4096,
-                   help="grid density per unit interval")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--T", type=float, default=None,
-                   help="domain truncation for unbounded problems")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None,
-                   help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "report"), default="report")
+def _command(sub, name, func, help, flags):
+    """The parser of subcommand ``name``, with the shared ``flags`` it reads."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    for flag in flags.split():
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
 
 
 def _build(name, args):
@@ -88,10 +98,9 @@ def cmd_norm(args):
 def cmd_stieltjes(args):
     f = _build(args.function, args)
     if args.g == "identity":
-        from .stepfn import PiecewisePoly
         lo, hi = f.interval.lo, f.interval.hi
-        g = PiecewisePoly([Fraction(lo), Fraction(hi)],
-                          [(Fraction(0), Fraction(1))])
+        g = stepfn.PiecewisePoly([Fraction(lo), Fraction(hi)],
+                                 [(Fraction(0), Fraction(1))])
     elif args.g == "heaviside":
         g = B.heaviside_step(float(f.interval.lo), float(f.interval.hi)).payload
     else:
@@ -109,22 +118,17 @@ def cmd_stieltjes(args):
 def cmd_example(args):
     name = args.name
     if name == "ex31":
-        from .runs import run_ex31
-        rep = run_ex31(quad_tol=args.tol, per_unit=args.grid,
-                       T=args.T if args.T is not None else 1)
+        rep = runs.run_ex31(quad_tol=args.tol, per_unit=args.grid,
+                            T=args.T if args.T is not None else 1)
         return _emit_report(rep, args)
     if name == "ex01":
-        from .runs import run_ex01
-        rep = run_ex01(T=args.T if args.T is not None else 5.0,
-                       per_unit=min(args.grid, 512))
+        rep = runs.run_ex01(T=args.T if args.T is not None else 5.0,
+                            per_unit=min(args.grid, 512))
         return _emit_report(rep, args)
     if name == "ex01_closed_form":
-        from . import systems as SY
-        from .solver import make_grid
         T = args.T if args.T is not None else 5.0
         H = lambda ts: np.asarray(ts, dtype=float) ** 2
-        grid = make_grid(0, T, min(args.grid, 512),
-                         include=range(1, int(T) + 1))
+        grid, _ = SY.ex01_grid(T, min(args.grid, 512))
         y = SY.ex01_closed_form(H, 2.0, grid)
         j1 = int(np.searchsorted(grid, 1.0))
         _emit("builder: ex01_closed_form\nH: t^2\n"
@@ -139,7 +143,6 @@ def cmd_example(args):
         return 0
     lo, hi = float(f.interval.lo), float(f.interval.hi)
     probe = lo + 0.5 * (hi - lo)
-    from .funcspace import limits
     left, val, right = limits(f, probe)
     _emit(f"builder: {name}\ninterval: [{lo}, {hi}]\n"
           f"value_at_midpoint: {val!r}\nleft_limit: {left!r}\n"
@@ -149,7 +152,8 @@ def cmd_example(args):
 
 def _emit_report(rep: RunReport, args):
     if args.format == "csv" and rep.traces:
-        path = args.out or f"{rep.run_id}_trace.csv"
+        # named by the run id up to a ':', so solve:random_monotone -> solve_
+        path = args.out or f"{rep.run_id.partition(':')[0]}_trace.csv"
         export(rep.traces[-1], path, grid=rep.system.grid,
                thin=max(1, len(rep.system.grid) // 64))
         print(f"wrote {path}")
@@ -170,56 +174,23 @@ def cmd_suite(args):
 
 def cmd_solve(args):
     """Solve a system described by a config file."""
-    from . import systems as SY
-    from .solver import smallest_greatest, bounds_to_subsuper
-
     cfg = load_config(args.config)
     kind = cfg.get("system", "ex31")
     if kind == "ex31":
-        from .runs import run_ex31
-        rep = run_ex31(quad_tol=float(cfg.get("tol", args.tol)),
-                       per_unit=int(cfg.get("grid", args.grid)),
-                       T=cfg.get("T", args.T) or 1)
-        return _emit_report(rep, args)
-    if kind == "ex01":
-        from .runs import run_ex01
-        rep = run_ex01(T=float(cfg.get("T", args.T) or 5.0),
-                       per_unit=int(cfg.get("grid", 256)))
-        return _emit_report(rep, args)
-    if kind == "random_monotone":
-        rng = np.random.default_rng(int(cfg.get("seed", args.seed)))
-        S = SY.random_monotone_system(rng, m=int(cfg.get("dimension", 2)),
-                                      per_unit=int(cfg.get("grid", 128)))
-        if "initial_values" in cfg:
-            S.c = [float(c) for c in cfg["initial_values"]]
-        lo, hi = SY.order_bounds_for_random(S)
-        pair = bounds_to_subsuper(S, lo, hi)
-        y_lo, y_hi, (tr_up, tr_dn) = smallest_greatest(
-            S, pair, tol=float(cfg.get("tol", 1e-10)),
-            max_steps=int(cfg.get("max_steps", 300)))
-        rep = RunReport("solve:random_monotone")
-        rep.parameters = dict(cfg)
-        from .solver import as_grid
-        rep.outputs = {
-            "smallest_at_T": [float(as_grid(y, S.grid)[-1]) for y in y_lo],
-            "greatest_at_T": [float(as_grid(y, S.grid)[-1]) for y in y_hi],
-        }
-        rep.residuals = {"smallest": tr_up.residual,
-                         "greatest": tr_dn.residual}
-        rep.stabilization = {"up": tr_up.stabilization_index,
-                             "down": tr_dn.stabilization_index}
-        if args.format == "csv":
-            path = args.out or "solve_trace.csv"
-            export(tr_up, path, grid=S.grid,
-                   thin=max(1, len(S.grid) // 64))
-            print(f"wrote {path}")
-            return 0
-        _emit(rep.to_text(), args)
-        return 0
-    raise SystemExit(f"unknown system kind {kind!r}")
+        rep = runs.run_ex31(quad_tol=float(cfg.get("tol", args.tol)),
+                            per_unit=int(cfg.get("grid", args.grid)),
+                            T=cfg.get("T", args.T) or 1)
+    elif kind == "ex01":
+        rep = runs.run_ex01(T=float(cfg.get("T", args.T) or 5.0),
+                            per_unit=int(cfg.get("grid", 256)))
+    elif kind == "random_monotone":
+        rep = runs.run_random_monotone(cfg, seed=args.seed)
+    else:
+        raise SystemExit(f"unknown system kind {kind!r}")
+    return _emit_report(rep, args)
 
 
-def main(argv=None):
+def _parser():
     ap = argparse.ArgumentParser(
         prog="leftprim",
         description="Primitive integrals of left-regulated distributions: "
@@ -227,43 +198,39 @@ def main(argv=None):
                     "solvers for distributional Cauchy systems.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("integrate", help="integrate a catalogued function")
+    p = _command(sub, "integrate", cmd_integrate,
+                 "integrate a catalogued function", "m tol T out")
     p.add_argument("function")
     p.add_argument("a", type=float)
     p.add_argument("b", type=float)
-    _common(p)
-    p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("norm", help="Alexiewicz / L1 / sup norm")
+    p = _command(sub, "norm", cmd_norm, "Alexiewicz / L1 / sup norm",
+                 "m grid tol T out")
     p.add_argument("function")
     p.add_argument("kind", choices=("alexiewicz", "l1", "sup"))
-    _common(p)
-    p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("stieltjes", help="left-gauge Stieltjes integral")
+    p = _command(sub, "stieltjes", cmd_stieltjes,
+                 "left-gauge Stieltjes integral", "m tol T out")
     p.add_argument("function")
     p.add_argument("g", help="'identity', 'heaviside', or a config file "
                              "with a stepfn block")
-    _common(p)
-    p.set_defaults(func=cmd_stieltjes)
 
-    p = sub.add_parser("solve", help="solve a system from a config file")
+    p = _command(sub, "solve", cmd_solve, "solve a system from a config file",
+                 "grid tol T seed out format")
     p.add_argument("config")
-    _common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("example", help="build a catalogued example")
+    p = _command(sub, "example", cmd_example, "build a catalogued example",
+                 "m grid tol T out format")
     p.add_argument("name")
-    _common(p)
-    p.set_defaults(func=cmd_example)
 
-    p = sub.add_parser("suite", help="run a property suite")
+    p = _command(sub, "suite", cmd_suite, "run a property suite", "seed out")
     p.add_argument("name", choices=sorted(SU.SUITES))
     p.add_argument("--count", type=int, default=None)
-    _common(p)
-    p.set_defaults(func=cmd_suite)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _ERRORS as exc:

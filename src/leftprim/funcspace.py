@@ -66,7 +66,7 @@ class RegulatedFn:
         return cls(sym.PolyLeaf(poly), poly.interval, name)
 
     @classmethod
-    def lincomb(cls, parts, interval=None, name: str = "") -> "RegulatedFn":
+    def lincomb(cls, parts, interval=None) -> "RegulatedFn":
         parts = [(c, f) for c, f in parts]
         if not parts:
             raise ValueError("empty linear combination")
@@ -76,9 +76,8 @@ class RegulatedFn:
             for c, f in parts:
                 term = f.payload.map(lambda v, c=c: _like(c, v) * v)
                 acc = term if acc is None else acc + term
-            return cls.from_step(acc, name)
-        return cls(sym.Sum([sym.Scale(c, f.expr, f.primitive) for c, f in parts]),
-                   iv, name)
+            return cls.from_step(acc)
+        return cls(sym.Sum([sym.Scale(c, f.expr, f.primitive) for c, f in parts]), iv)
 
     @classmethod
     def product_of(cls, f: "RegulatedFn", g: "RegulatedFn", name: str = "") -> "RegulatedFn":
@@ -458,8 +457,9 @@ def integrate_regulated(F: RegulatedFn, a, b, tol: float = 1e-10):
 
 
 def fd_derivative_check(F: RegulatedFn, G: RegulatedFn, points, h0: float = 1e-3,
-                        levels: int = 4, min_dist: float = None):
-    """Compare central finite differences of F with G at the given points.
+                        min_dist: float = None):
+    """Compare central finite differences of F with G at the given points,
+    Richardson-extrapolated from the steps h, h/2, h/4 and h/8.
 
     Points too close to G's declared discontinuities are skipped with a note.
     Returns a report dict with per-point deviations and the max.
@@ -477,7 +477,7 @@ def fd_derivative_check(F: RegulatedFn, G: RegulatedFn, points, h0: float = 1e-3
             report["skipped"].append((t, "on discontinuity"))
             continue
         sampler = lambda hh: (F.value(t + hh) - F.value(t - hh)) / (2 * hh)
-        d, _ = richardson_limit(sampler, h, levels=levels, order=2)
+        d, _ = richardson_limit(sampler, h, levels=4, order=2)
         dev = abs(d - G.value(t))
         report["points"].append((t, dev))
         report["max_deviation"] = max(report["max_deviation"], dev)

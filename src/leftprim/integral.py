@@ -10,7 +10,7 @@ are ever synthesised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -117,17 +117,13 @@ class Multiplier:
 
     density: RegulatedFn
     anchor: object
-    variation: object = None
-    variation_certified: bool = True
+    variation: object = field(init=False)
+    variation_certified: bool = field(init=False)
 
     def __post_init__(self):
-        if self.variation is None:
-            if self.density.kind == "step":
-                self.variation = self.density.payload.variation()
-                self.variation_certified = True
-            else:
-                self.variation = _sampled_variation(self.density)
-                self.variation_certified = False
+        self.variation_certified = self.density.kind == "step"
+        self.variation = self.density.payload.variation() \
+            if self.variation_certified else _sampled_variation(self.density)
 
     @classmethod
     def from_step_density(cls, h: StepFn, anchor) -> "Multiplier":
@@ -156,8 +152,8 @@ class Multiplier:
         return fs.norm(self.density, "sup")
 
 
-def _sampled_variation(h: RegulatedFn, samples: int = 4096):
-    ts = np.linspace(float(h.interval.lo), float(h.interval.hi), samples)
+def _sampled_variation(h: RegulatedFn):
+    ts = np.linspace(float(h.interval.lo), float(h.interval.hi), 4096)
     vals = h.sample(ts)
     return float(np.sum(np.abs(np.diff(vals))))
 
@@ -217,7 +213,7 @@ def pairing(f: Distribution, phi: TestFn, tol: float = 1e-10):
     return -val
 
 
-def parts(f: Distribution, g: Multiplier, a, b, tol: float = 1e-10):
+def parts(f: Distribution, g: Multiplier, a, b):
     """Integration by parts against a multiplier.
 
     The primitive is anchored to vanish at ``a`` (the zero-anchored
@@ -250,7 +246,7 @@ def parts(f: Distribution, g: Multiplier, a, b, tol: float = 1e-10):
         cuts = [float(c) for c in F.jumps(a, b)] + [float(c) for c in h.jumps(a, b)]
         integral_part, err = integrate_piecewise(
             lambda ts: (F.sample(ts) - Fa) * h.sample(ts),
-            float(a), float(b), cuts, tol)
+            float(a), float(b), cuts)
         value = Fb * gb - integral_part
     F0 = cumulative(f, a, 0)  # anchored at a; the norms restrict to J
     if f.space_tag == "LL":
@@ -273,7 +269,7 @@ def product(f: Distribution, g: Distribution) -> Distribution:
     return Distribution(FG, "LR", normalized=f.normalized and g.normalized)
 
 
-def dirac(lo=-1, hi=1) -> Distribution:
-    """The Dirac measure via its Heaviside primitive."""
+def dirac() -> Distribution:
+    """The Dirac measure on [-1, 1] via its Heaviside primitive."""
     from .builders import heaviside_step
-    return Distribution(heaviside_step(lo, hi), "LR", normalized=True)
+    return Distribution(heaviside_step(-1, 1), "LR", normalized=True)

@@ -107,10 +107,19 @@ def stepfn_from_doc(doc: dict) -> StepFn:
 # -- config -----------------------------------------------------------------------------
 
 
+class ConfigError(ValueError):
+    """A config file that cannot be read or is not a key: value mapping."""
+
+
 def load_config(path) -> dict:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    return doc or {}
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc  # one line
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a key: value mapping")
+    return doc
 
 
 # -- CSV export ---------------------------------------------------------------------------

@@ -159,11 +159,11 @@ class CauchySystem:
     def constant_start(self, values) -> list:
         return [GridFn.constant(self.grid, v) for v in values]
 
-    def spot_check_monotone(self, lower, upper, rng=None, cases: int = 3):
+    def spot_check_monotone(self, lower, upper, cases: int = 3):
         """Random ordered pairs inside [lower, upper] must map to ordered
         images; a declared-monotone operator failing this raises."""
         g = self.grid
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         lo = [as_grid(f, g) for f in lower]
         hi = [as_grid(f, g) for f in upper]
         for _ in range(cases):
@@ -560,7 +560,7 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
 
 
 def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
-                       spot_checks: int = 5, rng=None) -> SubSuperPair:
+                       spot_checks: int = 5) -> SubSuperPair:
     """Sub/supersolution pair from order bounds h_lo <= f_i(x) <= h_hi.
 
     The bounds are distributions; the pair is built from their cumulative
@@ -577,7 +577,7 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
     g = S.grid
     los = [as_grid(f, g) for f in lower]
     his = [as_grid(f, g) for f in upper]
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for _ in range(spot_checks):
         w = rng.uniform(0, 1, size=S.m)
         x = [GridFn(g, (1 - wi) * lo + wi * hi)
@@ -610,13 +610,10 @@ class L1Config:
     """Growth data for the minimal/maximal solution existence route."""
 
     Q: object                  # nondecreasing growth function on R+
-    r_max: float = 100.0       # scan bound for the fixed point R = Q(R)
-    scan_points: int = 2001
-    samples: int = 5           # random vectors for the norm hypothesis check
 
 
 def _q_fixed_point(cfg: L1Config):
-    rs = np.linspace(0.0, cfg.r_max, cfg.scan_points)
+    rs = np.linspace(0.0, 100.0, 2001)  # the scan bound for R = Q(R) is 100
     qs = np.array([float(cfg.Q(r)) for r in rs])
     below = qs <= rs
     if not np.any(below[1:]):
@@ -642,7 +639,7 @@ def _l1_norm_grid(values: np.ndarray, grid: np.ndarray) -> float:
 
 
 def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
-              max_steps: int = 400, rng=None):
+              max_steps: int = 400):
     """Minimal and maximal solutions for zero initial values.
 
     Finds R with R = Q(R), verifies the L1 growth bound on sampled vectors in
@@ -654,8 +651,8 @@ def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
         raise SolverDataError("the L1 route needs zero initial values")
     R = _q_fixed_point(cfg)
     g = S.grid
-    rng = rng or np.random.default_rng(1)
-    for _ in range(cfg.samples):
+    rng = np.random.default_rng(1)
+    for _ in range(5):  # random vectors for the growth hypothesis check
         scale = rng.uniform(0, 1)
         x = [GridFn(g, scale * R * rng.uniform(-1, 1) * np.ones(len(g)))
              for _ in range(S.m)]
@@ -701,29 +698,30 @@ class MajorantOp:
     w0: object
     grid: np.ndarray
     closure_points: tuple = ()
+    _SPOT_CHECKS = 5          # random envelopes per spot check; not a field
 
-    def spot_check_increasing(self, rng=None, cases: int = 5):
-        rng = rng or np.random.default_rng(0)
-        for _ in range(cases):
+    def spot_check_increasing(self):
+        rng = np.random.default_rng(0)
+        for _ in range(self._SPOT_CHECKS):
             u = np.abs(rng.normal(size=len(self.grid)))
             v = u + np.abs(rng.normal(size=len(self.grid)))
             _check_order([self.G(GridFn(self.grid, u))],
                          [self.G(GridFn(self.grid, v))], self.grid,
                          "majorant operator is not increasing")
 
-    def spot_check_sublinear(self, rng=None, cases: int = 5):
+    def spot_check_sublinear(self):
         """On random nonnegative envelopes u, v: G(u) <= G(u + v), else
         :class:`OrderBoundError`; G(0) >= 0, and S = G - G(0) subadditive and
         positively homogeneous within 1e-9 relative to the images' size,
         else :class:`SublinearityError`."""
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         g = self.grid
         G = lambda v: as_grid(self.G(GridFn(g, v)), g)
         zero = np.zeros(len(g))
         g0 = G(zero)
         _check_order([zero], [g0], g, "majorant operator is negative at 0",
                      1e-9, SublinearityError)
-        for _ in range(cases):
+        for _ in range(self._SPOT_CHECKS):
             u = np.abs(rng.normal(size=len(g)))
             v = np.abs(rng.normal(size=len(g)))
             lam = rng.uniform(0, 4)
@@ -866,7 +864,7 @@ def windowed_envelope(M: MajorantOp, tol: float = 1e-9,
 
 
 def reduce_higher_order(m: int, g_map, c: list, interval: Interval,
-                        grid: np.ndarray, closure_points=()) -> CauchySystem:
+                        grid: np.ndarray) -> CauchySystem:
     """Reduce y^(m) = g(y, y', ..., y^(m-1)) to a first-order system.
 
     Components 1..m-1 integrate the next component on the grid (exact for
@@ -887,5 +885,4 @@ def reduce_higher_order(m: int, g_map, c: list, interval: Interval,
 
     maps = [integ(i) for i in range(m - 1)] + [g_map]
     return CauchySystem(m, maps, list(c), interval, grid,
-                        closure_points=tuple(closure_points),
                         name=f"order-{m} reduction")

@@ -306,14 +306,14 @@ class StepFn(_Cells):
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def indicator(cls, lo, hi, domain_lo=None, domain_hi=None, value=Fraction(1)):
+    def indicator(cls, lo, hi, domain_lo=None, domain_hi=None):
         """chi_{(lo, hi]} on [domain_lo, domain_hi] (defaults to [lo, hi])."""
         lo, hi = Fraction(lo), Fraction(hi)
         dlo = Fraction(domain_lo) if domain_lo is not None else lo
         dhi = Fraction(domain_hi) if domain_hi is not None else hi
         breaks, values = [dlo], []
         zero = Fraction(0)
-        for b, v in ((lo, zero), (hi, value), (dhi, zero)):
+        for b, v in ((lo, zero), (hi, Fraction(1)), (dhi, zero)):
             if b > breaks[-1]:
                 breaks.append(b)
                 values.append(v)
@@ -488,11 +488,9 @@ class StepFn(_Cells):
         acc, _, _, den = _sums(f.values, f.breaks, (f.den, f.keys), 0, absolute=True)
         return _q(acc[-1], den)
 
-    def alexiewicz_norm(self, a=None, b=None):
+    def alexiewicz_norm(self):
         """sup over subintervals of |integral|, via cumulative extrema."""
-        f = self if a is None and b is None else self.restrict(
-            a if a is not None else self.lo, b if b is not None else self.hi)
-        acc, _, _, den = f._running(Fraction(0) if f.exact else 0.0)
+        acc, _, _, den = self._running(Fraction(0) if self.exact else 0.0)
         return _q(max(acc) - min(acc), den)
 
     def alexiewicz_extrema(self):

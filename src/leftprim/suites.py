@@ -201,11 +201,11 @@ def solver_suite(seed: int = 0, count: int = 50):
     return _report("solver", seed, count, violations)
 
 
-def step_suite(seed: int = 0, count: int = 50, levels=(2, 4, 8, 16, 32, 64),
-               grid_points: int = 10_000):
+def step_suite(seed: int = 0, count: int = 50):
     """Step-approximation error bound on named builders and random steps."""
     rng = np.random.default_rng(seed)
     violations = []
+    levels, grid_points = (2, 4, 8, 16, 32, 64), 10_000
     ts = np.linspace(0.0, 1.0, grid_points + 1)
     named = [B.osc_series_G(4), B.left_frac_series(5, p=2)]
     for f in named:

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import builders as B
 from .funcspace import RegulatedFn, integrate_regulated
-from .intervals import Interval
-from .solver import (CauchySystem, GridFn, MajorantOp, TaggedFn, as_grid,
-                     make_grid)
+from .intervals import DomainError, Interval
+from .solver import (CauchySystem, GridFn, MajorantOp, SolverDataError,
+                     TaggedFn, as_grid, make_grid)
 
 
 # -- the quantized two-component system ---------------------------------------------
@@ -63,12 +63,13 @@ class QuantizedCoefficients:
         k1, k2 = self.quantize(q1, q2)
         return math.atan(k1 / 1e4), math.tanh(k2 / 1e4), (k1, k2)
 
-    def chain(self, q1: float, q2: float, max_steps: int = 100):
-        """Iterate to exact stabilization of the quantized integers."""
+    def chain(self, q1: float, q2: float):
+        """Iterate to exact stabilization of the quantized integers, within
+        100 steps."""
         ks = None
         history = [(q1, q2)]
         quantized = []
-        for n in range(max_steps):
+        for n in range(100):
             nq1, nq2, nks = self.step(q1, q2)
             quantized.append(nks)
             if nks == ks:
@@ -169,9 +170,17 @@ def ex01_operator(H, grid: np.ndarray):
     return op
 
 
-def ex01_system(H, T=5, per_unit: int = 256) -> CauchySystem:
+def ex01_grid(T, per_unit: int):
+    """The ex01 grid on [0, T] through its closure points 1, ..., floor(T),
+    and those points; ex01 reports its value at t = 1, so T >= 1."""
+    if T < 1:
+        raise DomainError(f"ex01 reports its value at t = 1 > T = {float(T):g}")
     closure = tuple(range(1, int(T) + 1))
-    grid = make_grid(0, T, per_unit, include=closure)
+    return make_grid(0, T, per_unit, include=closure), closure
+
+
+def ex01_system(H, T=5, per_unit: int = 256) -> CauchySystem:
+    grid, closure = ex01_grid(T, per_unit)
     op = ex01_operator(H, grid)
     return CauchySystem(1, [lambda x: op(x[0])], [0.0],
                         Interval(0, T + 1e-9), grid,
@@ -194,15 +203,12 @@ def ex01_closed_form(H, Hprime_left_1, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def ex01_majorant(T=3, per_unit: int = 256, u=None) -> MajorantOp:
+def ex01_majorant(T=3, per_unit: int = 256) -> MajorantOp:
     """The envelope operator G(u)(t) = t u(t) on [0,1],
     (i+1-t) u(i) + (t-i) u(t) on (i, i+1], with the worked starting envelope
-    w0(t) = u(t) on [0,1], max(u(t), u(i)) on (i, i+1]."""
-    closure = tuple(range(1, int(T) + 1))
-    grid = make_grid(0, T, per_unit, include=closure)
-    if u is None:
-        u = lambda ts: 1.0 + ts  # positive increasing envelope
-    uv = u(grid)
+    w0(t) = u(t) on [0,1], max(u(t), u(i)) on (i, i+1], which is u itself
+    for the positive increasing u(t) = 1 + t."""
+    grid, closure = ex01_grid(T, per_unit)
     k, s, anchor = _ex01_segments(grid)
     g0, left, right = grid[:k], (s + 1.0) - grid[k:], grid[k:] - s
 
@@ -213,15 +219,14 @@ def ex01_majorant(T=3, per_unit: int = 256, u=None) -> MajorantOp:
         out[k:] = left * v[anchor] + right * v[k:]
         return GridFn(grid, out)
 
-    w0 = np.concatenate([uv[:k], np.maximum(uv[k:], uv[anchor])])
-    return MajorantOp(G, GridFn(grid, w0), grid, closure_points=closure)
+    return MajorantOp(G, GridFn(grid, 1.0 + grid), grid, closure_points=closure)
 
 
 # -- weighted increasing operators and random monotone systems ----------------------------
 
 
 def weighted_system(weights, g_prims, G_terms, c, interval: Interval,
-                    grid: np.ndarray, name="weighted") -> CauchySystem:
+                    grid: np.ndarray) -> CauchySystem:
     """Operators of the form F_i(x) = sum_j H_ij * (int_a^t g_ij(x)) + G_i.
 
     ``weights[i][j]`` are nonnegative bounded left-continuous weight
@@ -241,7 +246,7 @@ def weighted_system(weights, g_prims, G_terms, c, interval: Interval,
         return apply
 
     return CauchySystem(m, [phi(i) for i in range(m)], list(c), interval,
-                        grid, name=name)
+                        grid, name="weighted")
 
 
 def random_monotone_system(rng, m: int = None, per_unit: int = 128,
@@ -256,7 +261,9 @@ def random_monotone_system(rng, m: int = None, per_unit: int = 128,
     """
     from .stepfn import random_stepfn
 
-    m = m or int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4)) if m is None else m
+    if m < 1:
+        raise SolverDataError(f"a system needs dimension >= 1, not {m}")
     grid = make_grid(0, 1, per_unit)
     iv = Interval(0, 1 + 1e-9)
     A = rng.uniform(0, 1.5, size=(m, m))

@@ -204,3 +204,89 @@ def test_sup_norm_of_recip_t_reports_no_bound(capsys):
 def test_alexiewicz_norm_of_recip_t_reports_non_integrable(capsys):
     assert run_cli("norm", "recip_t", "alexiewicz") == 1
     assert "not locally HK integrable" in _one_line_error(capsys, "norm")
+
+
+def test_config_errors_report_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.yaml")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("a: [1, 2\nb: 3\n")  # unclosed flow sequence
+    listed = tmp_path / "list.yaml"
+    listed.write_text("- 1\n- 2\n")
+    for argv in (["solve", missing], ["stieltjes", "E611_F", missing],
+                 ["solve", str(bad)], ["solve", str(listed)]):
+        assert run_cli(*argv) == 1
+        _one_line_error(capsys, argv[0])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dimension": 0}, "dimension >= 1, not 0"),
+    ({"dimension": 2, "initial_values": [0.0]}, "1 initial values"),
+    ({"dimension": 2, "initial_values": [0.0, 0.5, 1.0]}, "3 initial values"),
+])
+def test_random_monotone_config_rejects_bad_input(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "sys.yaml"
+    dump({"system": "random_monotone", "seed": 7, "grid": 16, **doc}, cfg)
+    assert run_cli("solve", str(cfg)) == 1
+    assert message in _one_line_error(capsys, "solve")
+
+
+@pytest.mark.parametrize("name", ["ex01", "ex01_closed_form"])
+def test_ex01_ending_before_t_1_reports_one_line(name, capsys):
+    assert run_cli("example", name, "--T", "0.5") == 1
+    assert "t = 1" in _one_line_error(capsys, "example")
+
+
+def test_random_monotone_report_is_timed_and_exports_its_up_chain(
+        tmp_path, monkeypatch, capsys):
+    from leftprim.runs import run_random_monotone
+    doc = {"system": "random_monotone", "dimension": 2, "seed": 7, "grid": 64}
+    rep = run_random_monotone(doc)
+    assert rep.timing_s > 0 and rep.parameters == doc
+    cfg = tmp_path / "sys.yaml"
+    dump(doc, cfg)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", str(cfg), "--format", "csv") == 0
+    assert capsys.readouterr().out == "wrote solve_trace.csv\n"
+    rows = list(csv.reader(open(tmp_path / "solve_trace.csv", newline="")))
+    assert rows[0] == ["stage", "t", "y1", "y2"]
+    assert {r[0] for r in rows[1:]} == set(rep.traces[0].labels)
+
+
+# -- each subcommand takes only the flags it reads ----------------------------------------
+
+FLAGS = {
+    "integrate": {"--m", "--tol", "--T", "--out"},
+    "norm": {"--m", "--grid", "--tol", "--T", "--out"},
+    "stieltjes": {"--m", "--tol", "--T", "--out"},
+    "example": {"--m", "--grid", "--tol", "--T", "--out", "--format"},
+    "solve": {"--grid", "--tol", "--T", "--seed", "--out", "--format"},
+    "suite": {"--count", "--seed", "--out"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    import argparse
+    from leftprim.cli import _parser
+    sub, = [a for a in _parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {o for a in p._actions for o in a.option_strings
+                    if o != "--help" and o.startswith("--")}
+             for name, p in sub.choices.items()}
+    assert flags == FLAGS
+    assert sum(len(f) for f in flags.values()) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "shape_A", "0", "1", "--grid", "64"],
+    ["norm", "E611_F", "sup", "--seed", "1"],
+    ["stieltjes", "E611_F", "identity", "--format", "csv"],
+    ["example", "heaviside", "--seed", "1"],
+    ["solve", "system.yaml", "--m", "3"],
+    ["suite", "norms", "--tol", "1e-3"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
