@@ -18,8 +18,7 @@ from .gauge import (LeftGauge, LeftPartition, fine_partition, mu_interval,
 from .solver import (CauchySystem, GridFn, SubSuperPair, IterationTrace,
                      MajorantOp, L1Config, apply_operator, iterate_chain,
                      smallest_greatest, bounds_to_subsuper, minmax_l1,
-                     ceil_norm, uniqueness_chain, reduce_higher_order,
-                     make_grid)
+                     uniqueness_chain, reduce_higher_order, make_grid)
 
 # The public API; submodules stay importable (``leftprim.solver``) but are not
 # part of it.
@@ -34,7 +33,7 @@ __all__ = [
     "stieltjes_sum",
     "CauchySystem", "GridFn", "SubSuperPair", "IterationTrace", "MajorantOp",
     "L1Config", "apply_operator", "iterate_chain", "smallest_greatest",
-    "bounds_to_subsuper", "minmax_l1", "ceil_norm", "uniqueness_chain",
+    "bounds_to_subsuper", "minmax_l1", "uniqueness_chain",
     "reduce_higher_order", "make_grid",
 ]
 __version__ = "0.1.0"

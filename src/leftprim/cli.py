@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -104,7 +105,10 @@ def cmd_stieltjes(args):
     elif args.g == "heaviside":
         g = B.heaviside_step(float(f.interval.lo), float(f.interval.hi)).payload
     else:
-        g = stepfn_from_doc(load_config(args.g)["stepfn"])
+        doc = load_config(args.g)
+        if not isinstance(doc.get("stepfn"), dict):
+            raise ConfigError(f"{args.g}: no stepfn block")
+        g = stepfn_from_doc(doc["stepfn"])
     try:
         v = stieltjes(f, g, f.interval.lo, f.interval.hi, tol=args.tol)
     except VariationError as exc:
@@ -163,11 +167,13 @@ def _emit_report(rep: RunReport, args):
 
 
 def cmd_suite(args):
+    t0 = time.time()
     rep = SU.run_suite(args.name, seed=args.seed, count=args.count)
     out = RunReport(f"suite:{args.name}")
     out.parameters = {"seed": args.seed, "count": rep.get("count")}
     out.outputs = {k: v for k, v in rep.items()
                    if k not in ("suite", "seed", "count")}
+    out.timing_s = time.time() - t0
     _emit(out.to_text(), args)
     return 0 if rep["passed"] else 1
 

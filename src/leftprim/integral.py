@@ -148,9 +148,6 @@ class Multiplier:
         v, _ = integrate_regulated(self.density, self.anchor, x)
         return v
 
-    def density_sup(self):
-        return fs.norm(self.density, "sup")
-
 
 def _sampled_variation(h: RegulatedFn):
     ts = np.linspace(float(h.interval.lo), float(h.interval.hi), 4096)
@@ -225,7 +222,7 @@ def parts(f: Distribution, g: Multiplier, a, b):
     """
     F = f.primitive
     h = g.density
-    sup_h = g.density_sup()
+    sup_h = fs.norm(h, "sup")
     if not np.isfinite(float(sup_h)):
         raise MultiplierError("multiplier density is unbounded")
     gb = g.g(b)

@@ -96,6 +96,11 @@ def exact_expr(kind: str, q: Fraction) -> dict:
 
 
 def stepfn_from_doc(doc: dict) -> StepFn:
+    """The step function of a config file's ``stepfn`` block; a missing key
+    raises :class:`ConfigError` naming it."""
+    for key in ("cells", "base_value", "base_point"):
+        if key not in doc:
+            raise ConfigError(f"the stepfn block has no {key!r} key")
     cells = [(parse_frac(c["x"]), parse_frac(c["y"]), parse_frac(c["v"]))
              for c in doc["cells"]]
     f = StepFn.from_cells(cells, parse_frac(doc["base_value"]))
@@ -108,7 +113,8 @@ def stepfn_from_doc(doc: dict) -> StepFn:
 
 
 class ConfigError(ValueError):
-    """A config file that cannot be read or is not a key: value mapping."""
+    """A config file that cannot be read, is not a key: value mapping, or
+    lacks a key its command reads."""
 
 
 def load_config(path) -> dict:

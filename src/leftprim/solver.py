@@ -227,9 +227,10 @@ def closure_indices(grid: np.ndarray, closure_points) -> list:
     return out
 
 
-def closure_repair(grid: np.ndarray, closure_points, values: np.ndarray,
-                   previous: np.ndarray = None, sign: float = None) -> np.ndarray:
-    """Left-continuity closure at declared branch points.
+def closure_repair(indices, values: np.ndarray, previous: np.ndarray = None,
+                   sign: float = None) -> np.ndarray:
+    """Left-continuity closure at the grid indices of declared branch points
+    (:func:`closure_indices`).
 
     Replaces the value by a quadratic extrapolation from the three grid
     points to the left (exact for locally quadratic limit functions, in
@@ -237,15 +238,6 @@ def closure_repair(grid: np.ndarray, closure_points, values: np.ndarray,
     ``sign`` are given the repaired value is clamped so the monotone chain
     direction is preserved (+1 up, -1 down); the clamp only delays the
     transient, the converged value is the extrapolated left limit."""
-    if not len(closure_points):
-        return values
-    return _repair_at(closure_indices(grid, closure_points), values,
-                      previous, sign)
-
-
-def _repair_at(indices, values: np.ndarray, previous: np.ndarray = None,
-               sign: float = None) -> np.ndarray:
-    """:func:`closure_repair` at precomputed :func:`closure_indices`."""
     out = values.copy()
     clamp = previous is not None and sign is not None
     for j in indices:
@@ -343,7 +335,7 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
     cidx = closure_indices(grid, S.closure_points)
 
     def repaired(vals, prev):  # the clamp keeps repaired points in order
-        new = [_repair_at(cidx, v, previous=p, sign=sign)
+        new = [closure_repair(cidx, v, previous=p, sign=sign)
                for v, p in zip(vals, prev)]
         return [GridFn(grid, v) for v in new], new
 
@@ -424,12 +416,12 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
         def step(x, xs):
             nonlocal taken
             taken += 1
-            new = [_repair_at(own, np.concatenate([o[:a], f[w], o[b + 1:]]),
-                              o, 1.0) for f, o in zip(F(xs), xs)]
+            new = [closure_repair(own, np.concatenate([o[:a], f[w], o[b + 1:]]),
+                                  o, 1.0) for f, o in zip(F(xs), xs)]
             return fns(new), new
 
         def close(xs):
-            new = [_repair_at(own, v, v, 1.0) for v in xs]
+            new = [closure_repair(own, v, v, 1.0) for v in xs]
             return fns(new), new
 
         def bracket(x0, x1, x2):
@@ -444,7 +436,7 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
             for _ in range(_CORRECTIONS):
                 for v, f, dn in zip(c, F(c), den):
                     v[w] += (f[w] - v[w]) / dn
-            c = [_repair_at(own, v) for v in c]
+            c = [closure_repair(own, v) for v in c]
             scale = max(1.0, *(float(np.abs(v[w]).max()) for v in c))
             d = max(delta, 4 * np.finfo(float).eps * scale)
             while 2 * d <= _BRACKET_TOL * scale:
@@ -501,7 +493,8 @@ def residual(S: CauchySystem, x: list) -> float:
     fx = apply_operator(S, x)
     fs = [as_grid(f, S.grid) for f in fx]
     if S.closure_points:
-        fs = [closure_repair(S.grid, S.closure_points, v) for v in fs]
+        cidx = closure_indices(S.grid, S.closure_points)
+        fs = [closure_repair(cidx, v) for v in fs]
     dists = [float(np.max(np.abs(a - as_grid(b, S.grid)))) for a, b in zip(fs, x)]
     return math.nan if any(map(math.isnan, dists)) else max(dists)
 
@@ -588,23 +581,6 @@ def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
     return pair
 
 
-def ceil_norm(x: list):
-    """Pointwise max_i |x_i|; exact on step data, grid values otherwise."""
-    from .funcspace import abs_fn, lattice
-
-    if all(isinstance(f, RegulatedFn) and f.kind == "step" for f in x):
-        acc = abs_fn(x[0])
-        for f in x[1:]:
-            acc = lattice(acc, abs_fn(f), "join")
-        return acc
-    grids = [f.grid for f in x if isinstance(f, GridFn)]
-    if not grids:
-        raise SolverDataError("ceil_norm needs step data or grid functions")
-    g = grids[0]
-    vals = np.max(np.abs(np.stack([as_grid(f, g) for f in x])), axis=0)
-    return GridFn(g, vals)
-
-
 @dataclass
 class L1Config:
     """Growth data for the minimal/maximal solution existence route."""
@@ -617,7 +593,8 @@ def _q_fixed_point(cfg: L1Config):
     qs = np.array([float(cfg.Q(r)) for r in rs])
     below = qs <= rs
     if not np.any(below[1:]):
-        raise ValueError("no R with Q(R) <= R found within the scan bound")
+        raise SolverDataError(
+            "no R with Q(R) <= R found within the scan bound")
     j = 1 + int(np.argmax(below[1:]))  # first index with Q(r) <= r
     lo, hi = rs[j - 1], rs[j]
     for _ in range(80):
@@ -630,12 +607,8 @@ def _q_fixed_point(cfg: L1Config):
     # r <= Q(r) implies r <= R on the scan samples
     viol = rs[(rs <= np.array(qs)) & (rs > R + 1e-9)]
     if len(viol):
-        raise ValueError("growth hypothesis fails: r <= Q(r) with r > R")
+        raise SolverDataError("growth hypothesis fails: r <= Q(r) with r > R")
     return R
-
-
-def _l1_norm_grid(values: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.trapezoid(np.abs(values), grid))
 
 
 def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
@@ -656,11 +629,11 @@ def minmax_l1(S: CauchySystem, cfg: L1Config, tol: float = 1e-10,
         scale = rng.uniform(0, 1)
         x = [GridFn(g, scale * R * rng.uniform(-1, 1) * np.ones(len(g)))
              for _ in range(S.m)]
-        xnorm = max(_l1_norm_grid(as_grid(f, g), g) for f in x)
-        fx = [phi(x) for phi in S.component_maps]
-        for fi in fx:
-            if _l1_norm_grid(as_grid(fi, g), g) > float(cfg.Q(xnorm)) + 1e-9:
-                raise ValueError("L1 growth hypothesis fails a spot check")
+        xnorm = max(float(np.trapezoid(np.abs(as_grid(f, g)), g)) for f in x)
+        for phi in S.component_maps:  # grid L1 norms, trapezoidal
+            fnorm = float(np.trapezoid(np.abs(as_grid(phi(x), g)), g))
+            if fnorm > float(cfg.Q(xnorm)) + 1e-9:
+                raise SolverDataError("L1 growth hypothesis fails a spot check")
 
     def clipped(phi, op):
         return lambda x: GridFn(g, op(as_grid(phi(x), g), 0.0))
@@ -769,7 +742,7 @@ def uniqueness_chain(M: MajorantOp, tol: float = 1e-9,
         return diff <= stag_tol and _STALLED
 
     def close(ws):
-        ws = [np.maximum(_repair_at(cidx, ws[0], ws[0], -1.0), 0.0)]
+        ws = [np.maximum(closure_repair(cidx, ws[0], ws[0], -1.0), 0.0)]
         return ws, ws
 
     w0 = [as_grid(M.w0, grid)]

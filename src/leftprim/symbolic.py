@@ -229,23 +229,6 @@ class PolyLeaf(_ExactLeaf):
         return lip * (vs - us)
 
 
-class Const(Expr):
-    def __init__(self, c):
-        self.c = float(c)
-
-    def ev(self, t, side=0):
-        return self.c
-
-    def ev_array(self, ts):
-        return np.full_like(np.asarray(ts, dtype=float), self.c)
-
-    def osc_bound_array(self, us, vs):
-        return np.zeros(np.shape(us))
-
-    def sup_bound_array(self, us, vs):
-        return np.full(np.shape(us), abs(self.c))
-
-
 class Monomial(Expr):
     """t**k for integer k >= 0."""
 

@@ -80,6 +80,11 @@ def test_suite_command_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_suite_report_is_timed(capsys):
+    assert run_cli("suite", "lattice", "--count", "200") == 0
+    assert yaml.safe_load(capsys.readouterr().out)["timing_s"] > 0
+
+
 def test_stepfn_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -216,6 +221,20 @@ def test_config_errors_report_one_line(tmp_path, capsys):
                  ["solve", str(bad)], ["solve", str(listed)]):
         assert run_cli(*argv) == 1
         _one_line_error(capsys, argv[0])
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("stepfn", "no stepfn block"), ("cells", "'cells'"),
+    ("base_value", "'base_value'"), ("base_point", "'base_point'"),
+])
+def test_stieltjes_config_without_a_key_reports_it(tmp_path, capsys, missing,
+                                                    message):
+    block = {k: v for k, v in to_doc(StepFn.indicator(0, 1)).items()
+             if k != missing}
+    cfg = tmp_path / "g.yaml"
+    dump({"other": 1} if missing == "stepfn" else {"stepfn": block}, cfg)
+    assert run_cli("stieltjes", "E611_F", str(cfg), "--m", "3") == 1
+    assert message in _one_line_error(capsys, "stieltjes")
 
 
 @pytest.mark.parametrize("doc, message", [

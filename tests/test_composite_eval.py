@@ -90,7 +90,8 @@ def test_product_with_a_zero_partner_has_a_zero_limit():
         OSC.ev(half, +1)
     assert sym.Product(OSC, zero).ev(half, +1) == 0.0
     assert sym.Product(zero, OSC).ev(half, +1) == 0.0
-    for node in (sym.Product(OSC, sym.Const(2)), sym.Product(sym.Const(2), OSC)):
+    two = sym.Scale(2, sym.Monomial(0))
+    for node in (sym.Product(OSC, two), sym.Product(two, OSC)):
         with pytest.raises(SecondKindLimit):
             node.ev(half, +1)
 

@@ -130,7 +130,8 @@ def test_lattice_meet_symbolic():
     t = B.monomial(1)
     one_minus_t = RegulatedFn(
         __import__("leftprim.symbolic", fromlist=["Sum"]).Sum(
-            [__import__("leftprim.symbolic", fromlist=["Const"]).Const(1),
+            [__import__("leftprim.symbolic", fromlist=["Scale"]).Scale(
+                 1, __import__("leftprim.symbolic", fromlist=["Monomial"]).Monomial(0)),
              __import__("leftprim.symbolic", fromlist=["Scale"]).Scale(
                  -1, __import__("leftprim.symbolic", fromlist=["Monomial"]).Monomial(1))]),
         t.interval)

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 
 from leftprim import builders as B
-from leftprim.funcspace import RegulatedFn
+from leftprim.funcspace import RegulatedFn, norm
 from leftprim.integral import (Distribution, Multiplier, MultiplierError, TestFn,
                                cumulative, dirac, hake, pairing, parts,
                                primitive_integral, product)
@@ -208,7 +208,7 @@ def test_multiplier_with_a_symbolic_density():
     assert g.variation == pytest.approx(1.0, abs=1e-12)
     for x in (0.0, 0.25, 0.6, 1.0):
         assert g.g(x) == pytest.approx((x ** 3 - 0.25 ** 3) / 3, abs=1e-12)
-    assert g.density_sup() == 1.0
+    assert norm(g.density, "sup") == 1.0
     with pytest.raises(MultiplierError, match="step density"):
         g.g_fn()
 

@@ -35,7 +35,6 @@ def _poly():
 NODES = [
     (sym.StepLeaf(random_stepfn(np.random.default_rng(3))), 0, 1),
     (sym.PolyLeaf(_poly()), 0, 1),
-    (sym.Const(-2.5), 0, 1),
     (sym.Monomial(3), -1, 2),
     (sym.Heaviside(), -1, 1),
     (sym.FloorRight(3), 0, 2),
@@ -55,7 +54,8 @@ NODES = [
     (sym.PointwiseExtreme(sym.Monomial(1), sym.Shape("cos", +1)), 0, 1),
     (sym.PointwiseExtreme(sym.StepLeaf(StepFn.indicator(F(1, 3), F(2, 3), 0, 1)),
                           sym.LeftFracTerm(2, 1), is_max=False), 0, 1),
-    (sym.AbsExpr(sym.Sum([sym.Monomial(1), sym.Const(-0.5)])), 0, 1),
+    (sym.AbsExpr(sym.Sum([sym.Monomial(1),
+                          sym.Scale(-0.5, sym.Monomial(0))])), 0, 1),
     (sym.RecipT(), F(1, 10), 2),
 ]
 
@@ -131,7 +131,8 @@ def test_exact_leaves_read_an_inexact_tie_on_the_closing_cell():
                                             np.array([float(v)]))[0]
     assert sup(P.expr, 0, F(1, 5)) >= 100
     assert sup(P.expr, F(1, 5), 1) == 0.0
-    assert sup(sym.Product(P.expr, sym.Const(2)), 0, F(1, 5)) >= 200
+    two = sym.Scale(2, sym.Monomial(0))
+    assert sup(sym.Product(P.expr, two), 0, F(1, 5)) >= 200
     assert p.sample_array(t)[0] == float(p(t[0])) == 0.0
 
 
@@ -217,6 +218,17 @@ g = lp.StepFn([F(0), F(1, 2), F(1)], [F(0), F(1)])
 lp.stieltjes(lp.RegulatedFn.from_step(f), g, F(0), F(1))
 print(json.dumps(TR.TRACER.counters))
 """
+
+
+def test_tracer_installs_on_a_fresh_import():
+    # tracer.install patches its functions by name: a deleted or renamed one
+    # fails here with the AttributeError that names it
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    script = "import leftprim, tracer; tracer.install(leftprim)"
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         cwd=os.path.join(ROOT, "perfbench"),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_tracer_smoke():

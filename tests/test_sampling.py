@@ -111,7 +111,7 @@ def test_alexiewicz_coincident_points_add_zero():
     # primitive is infinite (inf - inf would poison the sum)
     iv = Interval(F(0), F(1))
     P = RegulatedFn(_SpikeAt(0.5), iv)
-    f = RegulatedFn(sym.Const(1.0), iv, primitive=P)
+    f = RegulatedFn(sym.Scale(1.0, sym.Monomial(0)), iv, primitive=P)
     J = Interval(0.5, 0.5 + 1e-15)
     with np.errstate(invalid="ignore"):
         got = norm(f, "alexiewicz", J)

@@ -12,9 +12,9 @@ from leftprim import systems as SY
 from leftprim.funcspace import RegulatedFn
 from leftprim.intervals import Interval
 from leftprim.solver import (CauchySystem, GridFn, L1Config, MonotonicityError,
-                             SubSuperPair, apply_operator, as_grid, ceil_norm,
-                             iterate_chain, make_grid, minmax_l1, residual,
-                             reduce_higher_order, smallest_greatest,
+                             SolverDataError, SubSuperPair, apply_operator,
+                             as_grid, iterate_chain, make_grid, minmax_l1,
+                             residual, reduce_higher_order, smallest_greatest,
                              uniqueness_chain)
 from leftprim.stepfn import StepFn
 
@@ -229,32 +229,6 @@ def test_uniqueness_identity_never_certifies():
     assert not certified
 
 
-# -- ceil norm -------------------------------------------------------------------------
-
-
-def test_ceil_norm_steps():
-    x1 = RegulatedFn.from_step(StepFn.indicator(0, 1))
-    x2 = RegulatedFn.from_step(2 * StepFn.indicator(F(1, 2), 1, 0, 1))
-    out = ceil_norm([x1, x2])
-    s = out.payload
-    assert s(F(1, 4)) == 1 and s(F(3, 4)) == 2
-
-
-def test_ceil_norm_zero_iff_all_zero():
-    z = RegulatedFn.from_step(StepFn.constant(0, 1, F(0)))
-    nz = RegulatedFn.from_step(StepFn.indicator(F(1, 2), 1, 0, 1))
-    assert ceil_norm([z, z]).payload.sup_norm() == 0
-    assert ceil_norm([z, nz]).payload.sup_norm() != 0
-
-
-def test_ceil_norm_symmetric_pair():
-    grid = make_grid(0, 1, 64)
-    t = GridFn(grid, grid.copy())
-    mt = GridFn(grid, -grid)
-    out = ceil_norm([t, mt])
-    assert np.allclose(out.values, grid)
-
-
 # -- bounds_to_subsuper / comparison --------------------------------------------------
 
 
@@ -323,6 +297,22 @@ def test_minmax_zero_operator():
     assert np.allclose(as_grid(y_max[0], grid), 0.0)
     assert R == pytest.approx(0.5, abs=1e-8)
 
+
+
+def _zero_l1_system(value):
+    grid = make_grid(0, 1, 32)
+    maps = [lambda x: GridFn(grid, np.full(len(grid), value))]
+    return CauchySystem(1, maps, [0.0], Interval(0, 1 + 1e-9), grid)
+
+
+@pytest.mark.parametrize("Q,message", [
+    (lambda r: r + 1, "no R with Q"),  # Q(r) > r on the whole scan
+    (lambda r: 1.0 if r < 50 else 2 * r, "growth hypothesis fails: r <= Q"),
+    (lambda r: 0.5, "L1 growth hypothesis fails a spot check"),  # ||Phi||_1 = 1
+])
+def test_minmax_l1_rejects_growth_data_with_a_typed_error(Q, message):
+    with pytest.raises(SolverDataError, match=message):
+        minmax_l1(_zero_l1_system(1.0), L1Config(Q=Q))
 
 def test_minmax_norm_bounded_constant_growth():
     # ||Phi_i(x)||_1 <= R_i constants: Q == max R_i satisfies the hypothesis

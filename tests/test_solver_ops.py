@@ -11,8 +11,8 @@ from leftprim import solver as SV
 from leftprim import systems as SY
 from leftprim.cli import main
 from leftprim.runs import run_ex01
-from leftprim.solver import (GridFn, closure_repair, iterate_chain, uniqueness_chain,
-                             windowed_envelope)
+from leftprim.solver import (GridFn, closure_indices, closure_repair,
+                             iterate_chain, uniqueness_chain, windowed_envelope)
 
 H = lambda ts: np.asarray(ts, dtype=float) ** 2
 CASES = [(T, per_unit) for T in (1, 2.5, 3, 5) for per_unit in (8, 256)]
@@ -119,16 +119,17 @@ def test_closure_repair_matches_naive(T, per_unit):
     S = SY.ex01_system(H, T=T, per_unit=per_unit)
     rng = np.random.default_rng([T, per_unit, 3])
     points = S.closure_points + (T + 1,)  # beyond the grid: ignored
+    idx = closure_indices(S.grid, points)
     for v in _vectors(rng, len(S.grid)):
         prev = v + rng.normal(size=len(v))
         for sign in (1.0, -1.0, None):
-            got = closure_repair(S.grid, points, v, previous=prev, sign=sign)
+            got = closure_repair(idx, v, previous=prev, sign=sign)
             want = naive_closure_repair(S.grid, points, v, previous=prev, sign=sign)
             assert np.array_equal(got, want)
-        assert np.array_equal(closure_repair(S.grid, points, v),
+        assert np.array_equal(closure_repair(idx, v),
                               naive_closure_repair(S.grid, points, v))
-        with pytest.raises(SV.SolverDataError, match="on no grid point"):
-            closure_repair(S.grid, points + (0.5 / per_unit,), v)
+    with pytest.raises(SV.SolverDataError, match="on no grid point"):
+        closure_indices(S.grid, points + (0.5 / per_unit,))
 
 
 # -- per-step work stays per chain ------------------------------------------------------
