@@ -194,7 +194,7 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
         return _stieltjes_floats(Fn.values, gr, Fn.breaks)
     gv = _g_rights(gr, Fn.breaks)
     # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
-    acc, _, _, den = _sums(Fn.values, gv, _lattice(gv) if Fn.exact else (None, None), 0)
+    acc, _, _, den = _sums(Fn, gv, _lattice(gv) if Fn.exact else (None, None), 0)
     return _q(acc[-1], den)
 
 

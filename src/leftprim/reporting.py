@@ -96,15 +96,26 @@ def exact_expr(kind: str, q: Fraction) -> dict:
 
 
 def stepfn_from_doc(doc: dict) -> StepFn:
-    """The step function of a config file's ``stepfn`` block; a missing key
-    raises :class:`ConfigError` naming it."""
+    """The step function of a config file's ``stepfn`` block; a missing key,
+    a ``cells`` entry that is not a non-empty list of x, y, v mappings, or a
+    number that does not parse raises :class:`ConfigError` naming it."""
     for key in ("cells", "base_value", "base_point"):
         if key not in doc:
             raise ConfigError(f"the stepfn block has no {key!r} key")
-    cells = [(parse_frac(c["x"]), parse_frac(c["y"]), parse_frac(c["v"]))
-             for c in doc["cells"]]
-    f = StepFn.from_cells(cells, parse_frac(doc["base_value"]))
-    if f.breaks[0] != parse_frac(doc["base_point"]):
+    cells = doc["cells"]
+    if not isinstance(cells, list) or not cells:
+        raise ConfigError(f"the stepfn block's cells are not a non-empty list: {cells!r}")
+    for i, c in enumerate(cells):
+        key = next((k for k in "xyv" if not isinstance(c, dict) or k not in c), None)
+        if key:
+            raise ConfigError(f"cell {i} of the stepfn block has no {key!r} key")
+    try:
+        cells = [tuple(parse_frac(c[k]) for k in "xyv") for c in cells]
+        base_value, base_point = parse_frac(doc["base_value"]), parse_frac(doc["base_point"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"the stepfn block: {exc}") from exc
+    f = StepFn.from_cells(cells, base_value)
+    if f.breaks[0] != base_point:
         raise StepDataError("base_point differs from the first cell's start")
     return f
 

@@ -11,19 +11,24 @@ cell instead; primitives of step data live there.  Both share the cell core
 ``_Cells``: break checks, evaluation, one-sided limits and ``integral``.
 
 Exact breaks carry an int lattice, ``keys[i] = breaks[i] * den`` over a common
-denominator ``den`` of at most ``LATTICE_BITS`` bits.  Walks compare keys, and
-the exact sums over cells add value numerators times key widths as ints, then
-build one ``Fraction``.  Above the bound, and on float breaks, ``keys`` are the
-breaks, and the same code runs on ``Fraction`` or float arithmetic.
+denominator ``den`` of at most ``LATTICE_BITS`` bits, and ``Fraction`` values
+one of their own, ``vnums[i] = values[i] * vden``, whose ``vden`` (same bound)
+also covers ``base_value``.  Walks compare keys; ``+``, ``-``, ``*``, ``join``,
+``meet`` and ``merged`` work on value numerators, and the exact sums add them
+times key widths, then build one ``Fraction`` per distinct result.  Outputs of
+the algebra take their lattices from their inputs.  Above the bound, and on
+float breaks, ``keys`` are the breaks; above it, and on ``int`` or float
+values, ``vden`` is None; the same code then runs on the values as they are.
 
-Costs for n and m cells, in int comparisons on a lattice (``Fraction`` or
+Costs for n and m cells, in int operations on the lattices (``Fraction`` or
 float ones without): ``+``, ``-``, ``*``, ``join``, ``meet``, ``le`` and
 ``zip_with`` take O(n + m), one forward walk over both key lists that also
 yields the operand cells of each merged cell, plus 2 ``Fraction`` comparisons
-of the domain ends; ``right_limits`` at k ascending exact points O(n + k), at
-k float points one ``searchsorted`` (a :func:`float_cells` reading, of three)
-plus a ``Fraction`` comparison per tie ``t == float(b)``; the constructor
-check, ``merged``, norms, integrals and ``cumulative`` are O(n) passes.
+of the domain ends (``le`` compares values as they are); ``right_limits`` at
+k ascending exact points O(n + k), at k float points one ``searchsorted`` (a
+:func:`float_cells` reading, of three) plus a ``Fraction`` comparison per tie
+``t == float(b)``; the constructor's lattices, ``merged``, norms, integrals
+and ``cumulative`` are O(n) passes.
 Evaluation at a point takes O(log n) ``Fraction`` comparisons, ``restrict``
 to k cells O(log n + k), and ``refined`` with m extra breaks O(n + m) if they
 come sorted, O(n + m log m) if not.
@@ -33,8 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate, chain, compress, islice
 from math import lcm
-from operator import add, lt, mul
+from operator import add, gt, lt, mul, ne, sub
 
 from .intervals import DomainError, Interval
 
@@ -43,6 +49,8 @@ from .intervals import DomainError, Interval
 # 2000-cell steps, ROADMAP item 8); 256 keeps a margin of 2 or more.
 LATTICE_BITS = 256
 _DENOMS = (2, 3, 4, 5, 7, 8)  # denominators of random_stepfn's cuts and values
+# the ops StepFn.zip_with runs on value lattices -> the output's denominator
+_INT_OPS = {add: lcm, sub: lcm, mul: mul, max: lcm, min: lcm}
 
 
 class StepDataError(ValueError):
@@ -53,13 +61,13 @@ def _is_exact(xs) -> bool:
     return all(isinstance(x, (Fraction, int)) for x in xs)
 
 
-def _lattice(xs, den=1):
-    """``(D, [x * D for x in xs])`` for exact xs, with D the least multiple
-    of den over all their denominators, while D has at most LATTICE_BITS
-    bits; else ``(None, None)``."""
+def _lattice(xs, den=1, kinds=(Fraction, int)):
+    """``(D, [x * D for x in xs])`` for xs of ``kinds``, with D the least
+    multiple of den over all their denominators, while D has at most
+    LATTICE_BITS bits; else ``(None, None)``."""
     ratios = []
     for x in xs:
-        if not isinstance(x, (Fraction, int)):
+        if not isinstance(x, kinds):
             return None, None
         ratios.append(x.as_integer_ratio())
         if den % ratios[-1][1]:
@@ -69,23 +77,21 @@ def _lattice(xs, den=1):
     return den, [n * (den // d) for n, d in ratios]
 
 
-def _sums(xs, bs, lattice, zero, absolute=False):
+def _sums(f, bs, lattice, zero, absolute=False):
     """The sums ``zero + sum_{j < i} xs[j] * (bs[j+1] - bs[j])``, i = 0 ..
-    len(xs), and the xs, bs and den they ran on: ints over the lattices of xs
-    and bs (given) from 0 if their denominators multiply past 1, else as given
-    and den None (at 1 the data may be ``int``s, whose sums stay ``int``).
-    ``absolute`` sums ``|xs[j]|`` instead (on a lattice: the |numerators|)."""
-    dy, ky = lattice
-    dx, kx = _lattice(xs) if dy is not None else (None, None)
+    len(xs), for the values xs of step f, and the xs, bs and den they ran
+    on: ints over the lattices of xs (f's, else computed) and bs (given) from
+    0 if their denominators multiply past 1, else as given and den None (at 1
+    the data may be ``int``s, whose sums stay ``int``).  ``absolute`` sums
+    ``|xs[j]|`` instead (on a lattice: the |numerators|)."""
+    xs, (dy, ky) = f.values, lattice
+    dx, kx = (None, None) if dy is None else (f.vden, f.vnums) if f.vden else _lattice(xs)
     den = None
     if dx is not None and dx * dy > 1:
         xs, bs, zero, den = kx, ky, 0, dx * dy
     if absolute:
         xs = list(map(abs, xs))
-    out = [zero]
-    for x, l, r in zip(xs, bs, bs[1:]):
-        zero = zero + x * (r - l)
-        out.append(zero)
+    out = list(accumulate(map(mul, xs, map(sub, bs[1:], bs)), initial=zero))
     return out, xs, bs, den
 
 
@@ -121,9 +127,12 @@ def _merge(a, ka, b, kb):
 
 
 def _walk(f, g):
-    """``_merge`` of f's and g's breaks, walking their keys rescaled to the
-    lcm of their dens if it is within the bound, else the breaks; the union
-    comes with its lattice ``(den, keys)``, den None without one."""
+    """``_merge`` of the breaks of f and g, on one interval, walking their
+    keys rescaled to the lcm of their dens if it is within the bound, else
+    the breaks; the union comes with its lattice ``(den, keys)``, den None
+    without one."""
+    if f.lo != g.lo or f.hi != g.hi:
+        raise DomainError("operands on different intervals")
     den = f.den and g.den and lcm(f.den, g.den)
     if den and den.bit_length() <= LATTICE_BITS:
         ka = list(map((den // f.den).__mul__, f.keys))
@@ -291,9 +300,10 @@ class _Cells:
 class StepFn(_Cells):
     """Piecewise-constant, left-continuous function on ``[b0, bk]``."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "vden", "vnums")
 
-    def __init__(self, breaks, values, base_value=None, *, lattice=None):
+    def __init__(self, breaks, values, base_value=None, *, lattice=None,
+                 vlattice=None):
         values = list(values)
         exact = self._set_breaks(breaks, len(values), lattice)
         if base_value is None:
@@ -301,7 +311,12 @@ class StepFn(_Cells):
             base_value = values[0]
         self.values = values
         self.base_value = base_value
-        self.exact = exact and _is_exact(values) and _is_exact([base_value])
+        # Fraction data only (int data keeps int arithmetic); float leaves at once
+        self.vden, self.vnums = vlattice or (
+            _lattice(values, base_value.denominator, Fraction)
+            if isinstance(base_value, Fraction) else (None, None))
+        self.exact = exact and (self.vden is not None or _is_exact(values)
+                                and _is_exact([base_value]))
 
     # -- construction helpers -------------------------------------------------
 
@@ -324,10 +339,7 @@ class StepFn(_Cells):
         return cls([Fraction(lo), Fraction(hi)], [Fraction(value)])
 
     def __repr__(self):
-        cells = ", ".join(
-            f"({self.breaks[i]},{self.breaks[i+1]}]->{self.values[i]}"
-            for i in range(min(len(self.values), 4))
-        )
+        cells = ", ".join(f"({x},{y}]->{v}" for x, y, v in self.to_cells()[:4])
         more = "..." if len(self.values) > 4 else ""
         return f"StepFn[{self.base_value}@{self.lo}; {cells}{more}]"
 
@@ -339,23 +351,26 @@ class StepFn(_Cells):
 
     # -- structural operations --------------------------------------------------
 
+    def _cells_lattice(self, cells):  # the value lattice of self's cells ``cells``
+        nums = self.vnums
+        return (None, None) if nums is None else (self.vden, list(map(nums.__getitem__, cells)))
+
     def merged(self) -> "StepFn":
-        """Coalesce adjacent cells carrying equal values."""
-        keep = [0]  # indices of the breaks kept
-        values = []
-        for i, v in enumerate(self.values):
-            if values and values[-1] == v:
-                keep[-1] = i + 1
-            else:
-                keep.append(i + 1)
-                values.append(v)
+        """Coalesce adjacent cells carrying equal values (numerators)."""
+        xs = self.values if self.vnums is None else self.vnums
+        firsts = list(compress(range(len(xs)),  # the first cell of each run
+                               chain([True], map(ne, islice(xs, 1, None), xs))))
+        keep = firsts + [len(xs)]  # the breaks kept
         b, k = self.breaks, self.keys
-        return StepFn([b[i] for i in keep], values, self.base_value,
-                      lattice=(self.den, [k[i] for i in keep]))
+        return StepFn(list(map(b.__getitem__, keep)),
+                      list(map(self.values.__getitem__, firsts)), self.base_value,
+                      lattice=(self.den, list(map(k.__getitem__, keep))),
+                      vlattice=self._cells_lattice(firsts))
 
     def refined(self, extra_breaks) -> "StepFn":
         pts, cells = _refine(self.breaks, extra_breaks)
-        return StepFn(pts, [self.values[j] for j in cells], self.base_value)
+        return StepFn(pts, [self.values[j] for j in cells], self.base_value,
+                      vlattice=self._cells_lattice(cells))
 
     def restrict(self, lo, hi) -> "StepFn":
         if not self.lo <= lo < hi <= self.hi:
@@ -367,20 +382,32 @@ class StepFn(_Cells):
         breaks = ([first if first == lo else lo] + self.breaks[j0 + 1:j1 + 1]
                   + [last if last == hi else hi])
         base = self(lo) if lo > self.lo else self.base_value
-        return StepFn(breaks, self.values[j0:j1 + 1], base)
-
-    @staticmethod
-    def _common(f: "StepFn", g: "StepFn"):
-        if f.lo != g.lo or f.hi != g.hi:
-            raise DomainError("step functions live on different intervals")
-        pts, lattice, fc, gc = _walk(f, g)
-        return pts, lattice, [f.values[j] for j in fc], [g.values[j] for j in gc]
+        nums = self.vnums
+        return StepFn(breaks, self.values[j0:j1 + 1], base,
+                      vlattice=(None, None) if nums is None else (self.vden, nums[j0:j1 + 1]))
 
     def zip_with(self, other: "StepFn", op) -> "StepFn":
-        pts, lattice, fv, gv = self._common(self, other)
-        return StepFn(pts, [op(a, b) for a, b in zip(fv, gv)],
-                      op(self.base_value, other.base_value),
-                      lattice=lattice).merged()
+        """``op`` cell by cell.  On two value lattices, ``+``, ``-``, ``*``
+        (add, sub, mul), ``max`` and ``min`` run on the numerators; the last
+        two pick an operand's own value, the first on ties, as they do."""
+        pts, lattice, fc, gc = _walk(self, other)
+        base = op(self.base_value, other.base_value)
+        fv, gv = map(self.values.__getitem__, fc), map(other.values.__getitem__, gc)
+        df, dg = self.vden, other.vden
+        den = df and dg and op in _INT_OPS and _INT_OPS[op](df, dg)
+        if not den or den.bit_length() > LATTICE_BITS:
+            return StepFn(pts, list(map(op, fv, gv)), base, lattice=lattice).merged()
+        sf, sg = (1, 1) if op is mul else (den // df, den // dg)  # to the lcm
+        a = list(map(sf.__mul__, map(self.vnums.__getitem__, fc)))
+        b = list(map(sg.__mul__, map(other.vnums.__getitem__, gc)))
+        nums = list(map(op, a, b))
+        if op is max or op is min:  # other's value where it wins
+            wins = map(lt if op is max else gt, a, b)
+            values = [y if w else x for w, x, y in zip(wins, fv, gv)]
+        else:
+            q = {n: Fraction(n, den) for n in set(nums)}
+            values = list(map(q.__getitem__, nums))
+        return StepFn(pts, values, base, lattice=lattice, vlattice=(den, nums)).merged()
 
     def map(self, op) -> "StepFn":
         return StepFn(self.breaks, [op(v) for v in self.values],
@@ -388,17 +415,17 @@ class StepFn(_Cells):
 
     def __add__(self, other):
         if isinstance(other, StepFn):
-            return self.zip_with(other, lambda a, b: a + b)
+            return self.zip_with(other, add)
         return self.map(lambda v: v + other)
 
     def __sub__(self, other):
         if isinstance(other, StepFn):
-            return self.zip_with(other, lambda a, b: a - b)
+            return self.zip_with(other, sub)
         return self.map(lambda v: v - other)
 
     def __mul__(self, other):
         if isinstance(other, StepFn):
-            return self.zip_with(other, lambda a, b: a * b)
+            return self.zip_with(other, mul)
         return self.map(lambda v: v * other)
 
     def __rmul__(self, c):
@@ -438,27 +465,25 @@ class StepFn(_Cells):
         return self.map(lambda v: max(-v, zero))
 
     def le(self, other) -> bool:
-        _, _, fv, gv = self._common(self, other)
+        _, _, fc, gc = _walk(self, other)
+        fv, gv = self.values, other.values
         return self.base_value <= other.base_value and all(
-            a <= b for a, b in zip(fv, gv))
+            fv[i] <= gv[j] for i, j in zip(fc, gc))
 
     # -- jumps / variation -------------------------------------------------------
 
     def variation(self):
         """Total variation on [lo, hi]."""
-        xs = [self.base_value, *self.values]
-        den, nums = _lattice(xs)
+        xs, den = [self.base_value, *self.values], self.vden
+        den, nums = (den, [int(xs[0] * den), *self.vnums]) if den else _lattice(xs)
         if den in (None, 1):  # as stored, so int data stays int
             den, nums = None, xs
-        v = abs(nums[1] - nums[0])
-        for i in range(2, len(nums)):
-            v += abs(nums[i] - nums[i - 1])
-        return _q(v, den)
+        return _q(sum(map(abs, map(sub, islice(nums, 1, None), nums))), den)
 
     # -- integration and norms ----------------------------------------------------
 
     def _running(self, zero):  # integrals from lo to each break
-        return _sums(self.values, self.breaks, (self.den, self.keys), zero)
+        return _sums(self, self.breaks, (self.den, self.keys), zero)
 
     def integral(self, a=None, b=None):
         """Exact integral over [a, b] (defaults: whole domain)."""
@@ -472,8 +497,7 @@ class StepFn(_Cells):
         zero = Fraction(0) if self.exact else 0.0
         acc, xs, bs, den = self._running(zero)
         # on (b_i, b_{i+1}]: acc_i + v*(x - b_i)
-        coeffs = [(_q(acc[i] - x * bs[i], den), v)
-                  for i, (x, v) in enumerate(zip(xs, self.values))]
+        coeffs = [(_q(a - x * b, den), v) for a, x, b, v in zip(acc, xs, bs, self.values)]
         return PiecewisePoly(self.breaks, coeffs, base_value=zero,
                              lattice=(self.den, self.keys))
 
@@ -485,7 +509,7 @@ class StepFn(_Cells):
             a if a is not None else self.lo, b if b is not None else self.hi)
         if not f.exact:
             return self.abs().integral(a, b)
-        acc, _, _, den = _sums(f.values, f.breaks, (f.den, f.keys), 0, absolute=True)
+        acc, _, _, den = _sums(f, f.breaks, (f.den, f.keys), 0, absolute=True)
         return _q(acc[-1], den)
 
     def alexiewicz_norm(self):
@@ -583,8 +607,6 @@ class PiecewisePoly(_Cells):
         return np.where(cells < 0, float(self.base_value), acc)
 
     def zip_with(self, other, op):
-        if self.lo != other.lo or self.hi != other.hi:
-            raise DomainError("piecewise polynomials on different intervals")
         pts, lattice, ia, ib = _walk(self, other)
         coeffs = [op(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)]
         scalar = {_poly_add: add, _poly_mul: mul}[op]

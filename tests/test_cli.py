@@ -237,6 +237,22 @@ def test_stieltjes_config_without_a_key_reports_it(tmp_path, capsys, missing,
     assert message in _one_line_error(capsys, "stieltjes")
 
 
+@pytest.mark.parametrize("cells, message", [
+    ([{"x": 0, "y": 1}], "cell 0 of the stepfn block has no 'v' key"),
+    ([{"x": 0, "y": "1/2", "v": 1}, 3], "cell 1 of the stepfn block has no 'x' key"),
+    (3, "cells are not a non-empty list: 3"),
+    ([], "cells are not a non-empty list: []"),
+    ([{"x": 0, "y": 1, "v": "abc"}], "Invalid literal for Fraction: 'abc'"),
+])
+def test_stieltjes_config_with_bad_cells_reports_them(tmp_path, capsys, cells,
+                                                      message):
+    block = {**to_doc(StepFn.indicator(0, 1)), "cells": cells}
+    cfg = tmp_path / "g.yaml"
+    dump({"stepfn": block}, cfg)
+    assert run_cli("stieltjes", "E611_F", str(cfg), "--m", "3") == 1
+    assert message in _one_line_error(capsys, "stieltjes")
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"dimension": 0}, "dimension >= 1, not 0"),
     ({"dimension": 2, "initial_values": [0.0]}, "1 initial values"),

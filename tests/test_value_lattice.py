@@ -1,14 +1,18 @@
-"""The exact step algebra pinned bit for bit on large seeded steps."""
+"""The exact step algebra pinned bit for bit on large seeded steps, and the
+int path of its value lattice against the generic op path."""
 
 import hashlib
+import operator
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
 
 from leftprim.funcspace import RegulatedFn
 from leftprim.gauge import stieltjes
-from leftprim.stepfn import PiecewisePoly, StepFn
+from leftprim.stepfn import LATTICE_BITS, PiecewisePoly, StepFn, random_stepfn
 
 F = Fraction
 
@@ -160,3 +164,108 @@ def outputs():
 def test_large_step_outputs_are_pinned_bit_for_bit():
     got = {name: digest(out) for name, out in outputs().items()}
     assert got == PINNED
+
+
+# -- the int path against the generic one -------------------------------------
+
+OPS = {"+": add, "-": sub, "*": mul, "join": max, "meet": min}
+
+
+def snap(f):
+    """Breaks, values and base value with their types, den, keys and exact."""
+    return (list(map(enc, f.breaks)), list(map(enc, f.values)), enc(f.base_value),
+            f.den, list(map(enc, f.keys)), f.exact)
+
+
+def on_its_lattice(f):
+    """vnums are the values times vden, and vden covers the base value."""
+    if f.vden is None:
+        return f.vnums is None
+    return ((f.base_value * f.vden).denominator == 1
+            and f.vnums == [int(v * f.vden) for v in f.values])
+
+
+def generic(f, g, op):
+    """``zip_with`` on the op path: an op it does not know."""
+    return f.zip_with(g, lambda a, b: op(a, b))
+
+
+def step(breaks, values, base=None):
+    return StepFn([F(b) for b in breaks], values, base)
+
+
+BREAKS_F = [0, F(1, 3), F(1, 2), F(3, 4), 1]
+BREAKS_G = [0, F(1, 4), F(1, 2), F(2, 3), 1]
+BIG = F(1, 2 ** 200 * 3), F(1, 2 ** 200 * 5)  # lcm within LATTICE_BITS, product past
+CASES = {
+    "fractions": (step(BREAKS_F, [F(1, 2), F(-2, 3), F(5, 7), F(1)], F(3, 8)),
+                  step(BREAKS_G, [F(-1, 5), F(2, 3), F(5, 7), F(0)])),
+    "ints": (step(BREAKS_F, [1, -2, 5, 5], 0), step(BREAKS_G, [3, 2, -5, 5])),
+    "mixed": (step(BREAKS_F, [1, F(-2, 3), 5, F(5, 2)], 0),
+              step(BREAKS_G, [F(3, 4), 2, F(-5, 6), 5])),
+    "floats": (step(BREAKS_F, [0.5, -2.25, 5.0, 0.1], 0.0),
+               step(BREAKS_G, [0.75, 2.0, -5.5, 0.1])),
+    "float and fractions": (step(BREAKS_F, [0.5, -2.25, 5.0, 0.1], 0.0),
+                            step(BREAKS_G, [F(3, 4), F(2), F(-5, 6), F(1, 10)])),
+    "past the bound": (step(BREAKS_F, [F(1, 2 ** 300), F(1), F(1, 3), F(1)]),
+                       step(BREAKS_G, [F(1, 3), F(1, 2 ** 299), F(1), F(2)])),
+    "product past the bound": (step(BREAKS_F, [BIG[0], F(1), 2 * BIG[0], F(1, 7)]),
+                               step(BREAKS_G, [BIG[1], F(1, 9), F(1), -BIG[1]])),
+    "equal neighbours": (step(BREAKS_F, [F(1, 2), F(1, 2), F(1, 3), F(1, 3)], F(1, 2)),
+                         step(BREAKS_G, [F(1, 4), F(1, 4), F(1, 4), F(5, 12)])),
+    "ties": (step(BREAKS_F, [F(1, 2), F(2, 3), F(-1, 3), F(1, 4)], F(1, 5)),
+             step(BREAKS_G, [F(1, 2), F(2, 3), F(-1, 3), F(1, 4)], F(1, 5))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_int_path_equals_the_op_path(case, op):
+    f, g = CASES[case]
+    want = generic(f, g, OPS[op])
+    for x, y, ref in ((f, g, want), (g, f, generic(g, f, OPS[op]))):
+        got = {"+": x + y, "-": x - y, "*": x * y, "join": x.join(y),
+               "meet": x.meet(y)}[op]
+        assert snap(got) == snap(ref)
+        assert on_its_lattice(got) and on_its_lattice(ref)
+        if op in ("join", "meet"):  # each cell keeps an operand's own object
+            assert all(map(operator.is_, got.values, ref.values))
+            assert got.base_value is ref.base_value
+
+
+def test_the_cases_reach_each_path():
+    lattices = {case: (f.vden is not None, g.vden is not None)
+                for case, (f, g) in CASES.items()}
+    assert lattices == {"fractions": (True, True), "ints": (False, False),
+                        "mixed": (False, False), "floats": (False, False),
+                        "float and fractions": (False, True),
+                        "past the bound": (False, False),
+                        "product past the bound": (True, True),
+                        "equal neighbours": (True, True), "ties": (True, True)}
+    f, g = CASES["product past the bound"]
+    assert lcm(f.vden, g.vden).bit_length() <= LATTICE_BITS < (f.vden * g.vden).bit_length()
+    assert (f * g).vden is None and (f + g).vden is not None
+    f, g = CASES["equal neighbours"]
+    assert len(f.merged().values) == 2 and len((f + g).values) < 5
+    f, g = CASES["ties"]
+    assert f.join(g).values[0] is f.values[0] and g.meet(f).values[0] is g.values[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_path_equals_the_op_path_on_random_steps(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        f, g = random_stepfn(rng, max_cells=12), random_stepfn(rng, max_cells=12)
+        for op in OPS.values():
+            got, want = f.zip_with(g, op), generic(f, g, op)
+            assert snap(got) == snap(want) and on_its_lattice(got)
+            if op in (max, min):
+                assert all(map(operator.is_, got.values, want.values))
+
+
+def test_structural_outputs_keep_their_lattice():
+    f = large_step(5, 300, spread=2, base=F(1, 9))
+    lo, hi = f.breaks[17], F(2, 3)
+    for out in (f.merged(), f.restrict(lo, hi), f.restrict(F(1, 7), f.breaks[-3]),
+                f.refined([F(1, 11), F(1, 2)]), f.abs(), 3 * f):
+        assert out.vden is not None and on_its_lattice(out)

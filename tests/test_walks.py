@@ -605,6 +605,34 @@ def test_lattice_merge_compares_no_fractions_but_the_ends():
             assert comparisons(lambda: op(g)) <= 4
 
 
+def test_lattice_add_runs_no_fraction_add_or_eq_per_cell(monkeypatch):
+    calls = {"add": 0, "eq": 0}
+
+    def counted(name, op):
+        def fn(self, other):
+            calls[name] += 1
+            return op(self, other)
+        return fn
+
+    n, m = 1000, 1001
+    f, g = random_values(counted_step(n)), random_values(counted_step(m))
+    assert f.vden is not None and g.vden is not None
+    monkeypatch.setattr(Fraction, "__add__", counted("add", Fraction.__add__))
+    monkeypatch.setattr(Fraction, "__eq__", counted("eq", Fraction.__eq__))
+    f + g
+    assert calls["add"] <= 2 and calls["eq"] <= 4  # the base values and the ends
+    f.zip_with(g, lambda a, b: a + b)  # the op path adds per cell
+    assert calls["add"] >= n + m
+
+
+def random_values(f, seed=0):
+    """f's breaks with seeded values p/q, |p| <= 50, 1 <= q <= 8."""
+    rng = np.random.default_rng(seed)
+    n = len(f.values)
+    return StepFn(f.breaks, [F(int(p), int(q)) for p, q in
+                             zip(rng.integers(-50, 51, n), rng.integers(1, 9, n))])
+
+
 def test_merge_above_the_bound_stays_linear():
     f, g = counted_harmonic(300), counted_harmonic(301, num=2)  # disjoint inner breaks
     assert f.den is None and g.den is None
