@@ -79,11 +79,10 @@ def _lattice(xs, den=1, kinds=(Fraction, int)):
 
 def _sums(f, bs, lattice, zero, absolute=False):
     """The sums ``zero + sum_{j < i} xs[j] * (bs[j+1] - bs[j])``, i = 0 ..
-    len(xs), for the values xs of step f, and the xs, bs and den they ran
-    on: ints over the lattices of xs (f's, else computed) and bs (given) from
-    0 if their denominators multiply past 1, else as given and den None (at 1
-    the data may be ``int``s, whose sums stay ``int``).  ``absolute`` sums
-    ``|xs[j]|`` instead (on a lattice: the |numerators|)."""
+    len(xs), over the values xs of step f, and the xs, bs and den they ran on:
+    ints over the lattices of xs (f's, else computed) and bs (given) from 0 if
+    their denominators multiply past 1, else as given and den None (at 1 the
+    data may be ``int``s, whose sums stay ``int``).  ``absolute`` sums |xs[j]|."""
     xs, (dy, ky) = f.values, lattice
     dx, kx = (None, None) if dy is None else (f.vden, f.vnums) if f.vden else _lattice(xs)
     den = None
@@ -302,8 +301,7 @@ class StepFn(_Cells):
 
     __slots__ = ("values", "vden", "vnums")
 
-    def __init__(self, breaks, values, base_value=None, *, lattice=None,
-                 vlattice=None):
+    def __init__(self, breaks, values, base_value=None, *, lattice=None, vlattice=None):
         values = list(values)
         exact = self._set_breaks(breaks, len(values), lattice)
         if base_value is None:
@@ -339,7 +337,10 @@ class StepFn(_Cells):
         return cls([Fraction(lo), Fraction(hi)], [Fraction(value)])
 
     def __repr__(self):
-        cells = ", ".join(f"({x},{y}]->{v}" for x, y, v in self.to_cells()[:4])
+        cells = ", ".join(
+            f"({self.breaks[i]},{self.breaks[i+1]}]->{self.values[i]}"
+            for i in range(min(len(self.values), 4))
+        )
         more = "..." if len(self.values) > 4 else ""
         return f"StepFn[{self.base_value}@{self.lo}; {cells}{more}]"
 
@@ -352,8 +353,7 @@ class StepFn(_Cells):
     # -- structural operations --------------------------------------------------
 
     def _cells_lattice(self, cells):  # the value lattice of self's cells ``cells``
-        nums = self.vnums
-        return (None, None) if nums is None else (self.vden, list(map(nums.__getitem__, cells)))
+        return self.vnums and (self.vden, list(map(self.vnums.__getitem__, cells)))
 
     def merged(self) -> "StepFn":
         """Coalesce adjacent cells carrying equal values (numerators)."""
@@ -382,14 +382,12 @@ class StepFn(_Cells):
         breaks = ([first if first == lo else lo] + self.breaks[j0 + 1:j1 + 1]
                   + [last if last == hi else hi])
         base = self(lo) if lo > self.lo else self.base_value
-        nums = self.vnums
         return StepFn(breaks, self.values[j0:j1 + 1], base,
-                      vlattice=(None, None) if nums is None else (self.vden, nums[j0:j1 + 1]))
+                      vlattice=self.vnums and (self.vden, self.vnums[j0:j1 + 1]))
 
     def zip_with(self, other: "StepFn", op) -> "StepFn":
-        """``op`` cell by cell.  On two value lattices, ``+``, ``-``, ``*``
-        (add, sub, mul), ``max`` and ``min`` run on the numerators; the last
-        two pick an operand's own value, the first on ties, as they do."""
+        """``op`` cell by cell; on two value lattices add, sub, mul, max and min
+        run on numerators (max, min keep an operand's value, as they do)."""
         pts, lattice, fc, gc = _walk(self, other)
         base = op(self.base_value, other.base_value)
         fv, gv = map(self.values.__getitem__, fc), map(other.values.__getitem__, gc)
@@ -398,13 +396,15 @@ class StepFn(_Cells):
         if not den or den.bit_length() > LATTICE_BITS:
             return StepFn(pts, list(map(op, fv, gv)), base, lattice=lattice).merged()
         sf, sg = (1, 1) if op is mul else (den // df, den // dg)  # to the lcm
-        a = list(map(sf.__mul__, map(self.vnums.__getitem__, fc)))
-        b = list(map(sg.__mul__, map(other.vnums.__getitem__, gc)))
-        nums = list(map(op, a, b))
+        a = map(sf.__mul__, map(self.vnums.__getitem__, fc))
+        b = map(sg.__mul__, map(other.vnums.__getitem__, gc))
         if op is max or op is min:  # other's value where it wins
+            a, b = list(a), list(b)
             wins = map(lt if op is max else gt, a, b)
             values = [y if w else x for w, x, y in zip(wins, fv, gv)]
+            nums = list(map(op, a, b))
         else:
+            nums = list(map(op, a, b))
             q = {n: Fraction(n, den) for n in set(nums)}
             values = list(map(q.__getitem__, nums))
         return StepFn(pts, values, base, lattice=lattice, vlattice=(den, nums)).merged()

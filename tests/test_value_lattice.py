@@ -2,10 +2,9 @@
 int path of its value lattice against the generic op path."""
 
 import hashlib
-import operator
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, is_, mul, sub
 
 import numpy as np
 import pytest
@@ -229,7 +228,7 @@ def test_int_path_equals_the_op_path(case, op):
         assert snap(got) == snap(ref)
         assert on_its_lattice(got) and on_its_lattice(ref)
         if op in ("join", "meet"):  # each cell keeps an operand's own object
-            assert all(map(operator.is_, got.values, ref.values))
+            assert all(map(is_, got.values, ref.values))
             assert got.base_value is ref.base_value
 
 
@@ -260,7 +259,7 @@ def test_int_path_equals_the_op_path_on_random_steps(seed):
             got, want = f.zip_with(g, op), generic(f, g, op)
             assert snap(got) == snap(want) and on_its_lattice(got)
             if op in (max, min):
-                assert all(map(operator.is_, got.values, want.values))
+                assert all(map(is_, got.values, want.values))
 
 
 def test_structural_outputs_keep_their_lattice():
@@ -269,3 +268,15 @@ def test_structural_outputs_keep_their_lattice():
     for out in (f.merged(), f.restrict(lo, hi), f.restrict(F(1, 7), f.breaks[-3]),
                 f.refined([F(1, 11), F(1, 2)]), f.abs(), 3 * f):
         assert out.vden is not None and on_its_lattice(out)
+
+
+def test_sums_off_the_value_lattice_keep_the_types_of_their_data():
+    ints, mixed = StepFn([0, 1, 3], [2, -1], 0), StepFn([0, 1, 3], [2, F(-1, 2)], 0)
+    floats = StepFn([0, 1, 3], [2.0, -0.5], 0.0)
+    assert (ints.vden, mixed.vden, floats.vden) == (None, None, None)
+    for f, kinds in ((ints, (int, int, Fraction, int)), (mixed, (Fraction,) * 4),
+                     (floats, (float,) * 4)):  # the Alexiewicz norm starts at Fraction(0)
+        sums = (f.integral(), f.l1_norm(), f.alexiewicz_norm(), f.variation())
+        assert tuple(map(type, sums)) == kinds
+    assert (ints.integral(), mixed.integral(), floats.integral()) == (0, 1, 1.0)
+    assert (ints.variation(), mixed.variation(), floats.variation()) == (5, F(9, 2), 4.5)
