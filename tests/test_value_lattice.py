@@ -167,7 +167,7 @@ def test_large_step_outputs_are_pinned_bit_for_bit():
 
 # -- the int path against the generic one -------------------------------------
 
-OPS = {"+": add, "-": sub, "*": mul, "join": max, "meet": min}
+OPS = {"add": add, "sub": sub, "mul": mul, "join": max, "meet": min}
 
 
 def snap(f):
@@ -204,13 +204,13 @@ CASES = {
               step(BREAKS_G, [F(3, 4), 2, F(-5, 6), 5])),
     "floats": (step(BREAKS_F, [0.5, -2.25, 5.0, 0.1], 0.0),
                step(BREAKS_G, [0.75, 2.0, -5.5, 0.1])),
-    "float and fractions": (step(BREAKS_F, [0.5, -2.25, 5.0, 0.1], 0.0),
+    "float_and_fractions": (step(BREAKS_F, [0.5, -2.25, 5.0, 0.1], 0.0),
                             step(BREAKS_G, [F(3, 4), F(2), F(-5, 6), F(1, 10)])),
-    "past the bound": (step(BREAKS_F, [F(1, 2 ** 300), F(1), F(1, 3), F(1)]),
+    "past_the_bound": (step(BREAKS_F, [F(1, 2 ** 300), F(1), F(1, 3), F(1)]),
                        step(BREAKS_G, [F(1, 3), F(1, 2 ** 299), F(1), F(2)])),
-    "product past the bound": (step(BREAKS_F, [BIG[0], F(1), 2 * BIG[0], F(1, 7)]),
+    "product_past_the_bound": (step(BREAKS_F, [BIG[0], F(1), 2 * BIG[0], F(1, 7)]),
                                step(BREAKS_G, [BIG[1], F(1, 9), F(1), -BIG[1]])),
-    "equal neighbours": (step(BREAKS_F, [F(1, 2), F(1, 2), F(1, 3), F(1, 3)], F(1, 2)),
+    "equal_neighbours": (step(BREAKS_F, [F(1, 2), F(1, 2), F(1, 3), F(1, 3)], F(1, 2)),
                          step(BREAKS_G, [F(1, 4), F(1, 4), F(1, 4), F(5, 12)])),
     "ties": (step(BREAKS_F, [F(1, 2), F(2, 3), F(-1, 3), F(1, 4)], F(1, 5)),
              step(BREAKS_G, [F(1, 2), F(2, 3), F(-1, 3), F(1, 4)], F(1, 5))),
@@ -223,7 +223,7 @@ def test_int_path_equals_the_op_path(case, op):
     f, g = CASES[case]
     want = generic(f, g, OPS[op])
     for x, y, ref in ((f, g, want), (g, f, generic(g, f, OPS[op]))):
-        got = {"+": x + y, "-": x - y, "*": x * y, "join": x.join(y),
+        got = {"add": x + y, "sub": x - y, "mul": x * y, "join": x.join(y),
                "meet": x.meet(y)}[op]
         assert snap(got) == snap(ref)
         assert on_its_lattice(got) and on_its_lattice(ref)
@@ -237,14 +237,14 @@ def test_the_cases_reach_each_path():
                 for case, (f, g) in CASES.items()}
     assert lattices == {"fractions": (True, True), "ints": (False, False),
                         "mixed": (False, False), "floats": (False, False),
-                        "float and fractions": (False, True),
-                        "past the bound": (False, False),
-                        "product past the bound": (True, True),
-                        "equal neighbours": (True, True), "ties": (True, True)}
-    f, g = CASES["product past the bound"]
+                        "float_and_fractions": (False, True),
+                        "past_the_bound": (False, False),
+                        "product_past_the_bound": (True, True),
+                        "equal_neighbours": (True, True), "ties": (True, True)}
+    f, g = CASES["product_past_the_bound"]
     assert lcm(f.vden, g.vden).bit_length() <= LATTICE_BITS < (f.vden * g.vden).bit_length()
     assert (f * g).vden is None and (f + g).vden is not None
-    f, g = CASES["equal neighbours"]
+    f, g = CASES["equal_neighbours"]
     assert len(f.merged().values) == 2 and len((f + g).values) < 5
     f, g = CASES["ties"]
     assert f.join(g).values[0] is f.values[0] and g.meet(f).values[0] is g.values[0]
