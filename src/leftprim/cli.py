@@ -3,9 +3,8 @@
 Each subcommand takes only the flags it reads (any other exits 2):
 ``integrate`` --m --tol --T --out; ``norm`` --m --grid --tol --T --out;
 ``stieltjes`` --m --tol --T --out; ``example`` --m --grid --tol --T --out
---format; ``solve`` --grid --tol --T --seed --out --format; ``suite`` --count
---seed --out.  ``solve`` consumes a config file (key: value blocks); see the
-demos directory for worked inputs.
+--format; ``solve`` --out --format, the rest from its config file (key:
+value blocks; see the demos directory); ``suite`` --count --seed --out.
 """
 
 from __future__ import annotations
@@ -183,14 +182,14 @@ def cmd_solve(args):
     cfg = load_config(args.config)
     kind = cfg.get("system", "ex31")
     if kind == "ex31":
-        rep = runs.run_ex31(quad_tol=float(cfg.get("tol", args.tol)),
-                            per_unit=int(cfg.get("grid", args.grid)),
-                            T=cfg.get("T", args.T) or 1)
+        rep = runs.run_ex31(quad_tol=float(cfg.get("tol", 1e-10)),
+                            per_unit=int(cfg.get("grid", 4096)),
+                            T=cfg.get("T") or 1)
     elif kind == "ex01":
-        rep = runs.run_ex01(T=float(cfg.get("T", args.T) or 5.0),
+        rep = runs.run_ex01(T=float(cfg.get("T") or 5.0),
                             per_unit=int(cfg.get("grid", 256)))
     elif kind == "random_monotone":
-        rep = runs.run_random_monotone(cfg, seed=args.seed)
+        rep = runs.run_random_monotone(cfg)
     else:
         raise SystemExit(f"unknown system kind {kind!r}")
     return _emit_report(rep, args)
@@ -222,7 +221,7 @@ def _parser():
                              "with a stepfn block")
 
     p = _command(sub, "solve", cmd_solve, "solve a system from a config file",
-                 "grid tol T seed out format")
+                 "out format")
     p.add_argument("config")
 
     p = _command(sub, "example", cmd_example, "build a catalogued example",

@@ -145,18 +145,12 @@ class RegulatedFn:
     def sup_bound_cells(self, us, vs):
         return self.expr.sup_bound_array(us, vs)
 
-    # arithmetic sugar (used heavily by the solver and tests)
+    # arithmetic sugar: f + g and f - g
     def __add__(self, other):
         return RegulatedFn.lincomb([(1, self), (1, other)], self.interval)
 
     def __sub__(self, other):
         return RegulatedFn.lincomb([(1, self), (-1, other)], self.interval)
-
-    def __rmul__(self, c):
-        return RegulatedFn.lincomb([(c, self)], self.interval)
-
-    def __neg__(self):
-        return RegulatedFn.lincomb([(-1, self)], self.interval)
 
 
 def _like(c, v):

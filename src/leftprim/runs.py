@@ -126,12 +126,12 @@ def run_ex01(T: float = 5.0, per_unit: int = 256, tol: float = 1e-9) -> RunRepor
     return report
 
 
-def run_random_monotone(cfg: dict, seed: int = 0) -> RunReport:
+def run_random_monotone(cfg: dict) -> RunReport:
     """Smallest and greatest solutions of the seeded random monotone system
     a ``solve`` config describes; the report echoes the config and keeps the
     up chain's trace for export."""
     t0 = time.time()
-    rng = np.random.default_rng(int(cfg.get("seed", seed)))
+    rng = np.random.default_rng(int(cfg.get("seed", 0)))
     S = SY.random_monotone_system(rng, m=int(cfg.get("dimension", 2)),
                                   per_unit=int(cfg.get("grid", 128)))
     if "initial_values" in cfg:  # replace runs the length check again

@@ -18,8 +18,10 @@ domain-minimum and the array paths alike.  Every node knows
 * a closed-form integral where one exists (``None`` otherwise),
 * a singularity class used by the integrability classifier.
 
-Float evaluation snaps to the left branch within ``SNAP`` of a jump so that
-rational jump locations survive the round trip through binary floats.
+One function, ``_split``, picks the branch at a jump of the frac, floor and
+Heaviside leaves, for points and arrays alike: exactly at a rational point,
+and within ``SNAP`` of a jump for a float, so that rational jump locations
+survive the round trip through binary floats.
 """
 
 from __future__ import annotations
@@ -52,42 +54,35 @@ def _rationals_in(lo, hi, den):
     return [Fraction(k, den) for k in range(lo_n, hi_n + 1)]
 
 
-def _frac_phi(t, n, side):
-    """phi = n*t - floor(n*t) with the left-branch convention: 1.0 at a jump,
-    0.0 there when the right limit is asked (side > 0)."""
+def _split(t, n, side=0):
+    """(floor, frac) of z = n t on the requested branch.
+
+    The one place that decides whether t sits on a jump k/n: exactly for a
+    ``Fraction`` or ``int`` t, within ``SNAP * n`` for a float or an array.
+    On a jump the left branch (side <= 0) is (k - 1, 1.0) and the right
+    limit (side > 0) is (k, 0.0)."""
     if isinstance(t, (Fraction, int)):
         z = Fraction(t) * n
-        phi = z - math.floor(z)
-        if phi == 0:
-            return 1.0 if side <= 0 else 0.0
-        return float(phi)
-    z = float(t) * n
-    phi = z - math.floor(z)
-    if phi < SNAP * n or phi > 1 - SNAP * n:
-        # within float noise of a jump: left branch unless a right limit is asked
-        return 1.0 if side <= 0 else 0.0
-    return phi
-
-
-def _frac_array(ts, n):
-    """Vectorised phi with the left-branch snap."""
-    z = ts * n
-    phi = z - np.floor(z)
-    snap = SNAP * n
-    phi = np.where(phi < snap, 1.0, phi)
-    phi = np.where(phi > 1 - snap, 1.0, phi)
-    return phi
+        fl = math.floor(z)
+        # a rational t is never just short of a jump
+        phi, above, below = float(z - fl), z == fl, False
+    else:
+        # a float point stays a Python scalar: no array for one point
+        z = t * n if isinstance(t, float) else np.asarray(t, dtype=float) * n
+        fl = np.floor(z) if isinstance(z, np.ndarray) else math.floor(z)
+        phi = z - fl
+        above, below = phi < SNAP * n, phi > 1 - SNAP * n
+    on = above | below
+    fl, at = (fl + below, 0.0) if side > 0 else (fl - above, 1.0)
+    if isinstance(on, np.ndarray):
+        return fl, np.where(on, at, phi)
+    return fl, at if on else phi
 
 
 def _frac_cell(n, us, vs):
     """phi-range (phi_lo, phi_hi] of frac(n t) over cut-free cells (u, v]."""
-    zv = n * vs
-    fl = np.floor(zv + SNAP * n)
-    at = np.abs(zv - fl) < SNAP * n
-    base = np.where(at, fl - 1, np.floor(zv))
-    phi_hi = np.where(at, 1.0, zv - np.floor(zv))
-    phi_lo = np.maximum(n * us - base, 0.0)
-    return phi_lo, phi_hi
+    base, phi_hi = _split(vs, n)
+    return np.maximum(n * us - base, 0.0), phi_hi
 
 
 def _merge_jumps(lists):
@@ -174,9 +169,9 @@ class StepLeaf(_ExactLeaf):
     """A :class:`~leftprim.stepfn.StepFn`: constant between its breakpoints.
 
     The array forms of both exact leaves read a float ``t == float(b)`` on
-    the cell closing at the break b (the left branch, as ``SNAP`` does for
-    the other nodes), so a bound cell ``(u, float(b)]`` cut at b holds only
-    the values its bound covers, even where ``float(b) > b``."""
+    the cell closing at the break b (the left branch, as ``_split`` picks
+    for the jump leaves), so a bound cell ``(u, float(b)]`` cut at b holds
+    only the values its bound covers, even where ``float(b) > b``."""
 
     kind = "step"
 
@@ -252,17 +247,25 @@ class Monomial(Expr):
         return np.maximum(np.abs(us) ** self.k, np.abs(vs) ** self.k)
 
 
-class Heaviside(Expr):
-    """H1: 0 for t <= 0, 1 for t > 0 (left continuous)."""
+class _JumpLeaf(Expr):
+    """A leaf that is one formula ``_of(floor, frac)`` of z = n t, read on
+    the branch :func:`_split` picks, so its point and array paths agree."""
+
+    def __init__(self, n=1):
+        self.n = n
 
     def ev(self, t, side=0):
-        t = float(t)
-        if abs(t) < SNAP:
-            return 1.0 if side > 0 else 0.0
-        return 1.0 if t > 0 else 0.0
+        return float(self._of(*_split(t, self.n, side)))
 
     def ev_array(self, ts):
-        return (np.asarray(ts, dtype=float) > SNAP).astype(float)
+        return self._of(*_split(ts, self.n))
+
+
+class Heaviside(_JumpLeaf):
+    """H1: 0 for t <= 0, 1 for t > 0 (left continuous)."""
+
+    def _of(self, fl, phi):
+        return (fl >= 0) * 1.0
 
     def jumps(self, lo, hi):
         return [Fraction(0)] if lo <= 0 <= hi else []
@@ -274,30 +277,11 @@ class Heaviside(Expr):
         return np.ones(np.shape(us))
 
 
-class FloorRight(Expr):
+class FloorRight(_JumpLeaf):
     """[n t] with [z] = m for m <= z < m+1; value at a jump is the left branch."""
 
-    def __init__(self, n=1):
-        self.n = n
-
-    def ev(self, t, side=0):
-        if isinstance(t, (Fraction, int)):
-            z = Fraction(t) * self.n
-            fl = math.floor(z)
-            if z == fl and side <= 0:
-                return float(fl - 1)
-            return float(fl)
-        z = float(t) * self.n
-        fl = math.floor(z + SNAP * self.n)
-        if abs(z - fl) < SNAP * self.n and side <= 0:
-            return float(fl - 1)
-        return float(math.floor(z))
-
-    def ev_array(self, ts):
-        z = np.asarray(ts, dtype=float) * self.n
-        fl = np.floor(z + SNAP * self.n)
-        at_jump = np.abs(z - fl) < SNAP * self.n
-        return np.where(at_jump, fl - 1, np.floor(z))
+    def _of(self, fl, phi):
+        return fl
 
     def jumps(self, lo, hi):
         return _rationals_in(lo, hi, self.n)
@@ -311,7 +295,7 @@ class FloorRight(Expr):
         return np.maximum(np.abs(right_at_u), np.abs(self.ev_array(vs))) + 1
 
 
-class SeriesTerm(Expr):
+class SeriesTerm(_JumpLeaf):
     """Common machinery for terms built on phi = frac(n t).
 
     Subclasses give the term's profile kernel ``g_array``, one formula that
@@ -320,9 +304,6 @@ class SeriesTerm(Expr):
     array bounds of |g| and of its Lipschitz constant over phi-ranges
     (phi_lo, phi_hi].
     """
-
-    def __init__(self, n):
-        self.n = n
 
     def g_array(self, phi):
         raise NotImplementedError
@@ -335,16 +316,17 @@ class SeriesTerm(Expr):
 
     continuous = False
 
+    def _of(self, fl, phi):
+        return self.g_array(phi)
+
     def ev(self, t, side=0):
-        phi = _frac_phi(t, self.n, side)
+        # g is singular at phi = 0, the right limit at a jump
+        fl, phi = _split(t, self.n, side)
         if phi == 0.0:
             if self.continuous:
                 return 0.0
             raise SecondKindLimit(f"no right limit at jump of order-{self.n} term")
-        return float(self.g_array(phi))
-
-    def ev_array(self, ts):
-        return self.g_array(_frac_array(np.asarray(ts, dtype=float), self.n))
+        return float(self._of(fl, phi))
 
     def jumps(self, lo, hi):
         return [] if self.continuous else _rationals_in(lo, hi, self.n)
@@ -463,15 +445,9 @@ class SqrtFloorTerm(SeriesTerm):
     """([n t] + sqrt(phi)) / n; continuous across jumps of the floor."""
 
     continuous = True
+    ev = _JumpLeaf.ev  # the formula holds at phi = 0
 
-    def ev(self, t, side=0):
-        phi = _frac_phi(t, self.n, side)
-        fl = FloorRight(self.n).ev(t, side)
-        return (fl + math.sqrt(phi)) / self.n
-
-    def ev_array(self, ts):
-        phi = _frac_array(np.asarray(ts, dtype=float), self.n)
-        fl = FloorRight(self.n).ev_array(ts)
+    def _of(self, fl, phi):
         return (fl + np.sqrt(phi)) / self.n
 
     def osc_bound_array(self, us, vs):
@@ -489,12 +465,10 @@ class LeftFracTerm(SeriesTerm):
         super().__init__(n)
         self.p = p
 
-    def ev(self, t, side=0):
-        # phi is 0.0 for the right limit at a jump, so the value is 0.0 there
-        return _frac_phi(t, self.n, side) / self.n ** self.p
+    ev = _JumpLeaf.ev  # phi is 0.0 for the right limit at a jump, so 0.0 there
 
-    def ev_array(self, ts):
-        return _frac_array(np.asarray(ts, dtype=float), self.n) / self.n ** self.p
+    def _of(self, fl, phi):
+        return phi / self.n ** self.p
 
     def osc_bound_array(self, us, vs):
         phi_lo, phi_hi = _frac_cell(self.n, us, vs)

@@ -78,6 +78,8 @@ def test_example_unknown_name():
 def test_suite_command_exit_codes(capsys):
     assert run_cli("suite", "norms", "--count", "5") == 0
     capsys.readouterr()
+    assert run_cli("suite", "step", "--count", "2") == 0
+    assert yaml.safe_load(capsys.readouterr().out)["outputs"]["passed"] is True
 
 
 def test_suite_report_is_timed(capsys):
@@ -294,7 +296,7 @@ FLAGS = {
     "norm": {"--m", "--grid", "--tol", "--T", "--out"},
     "stieltjes": {"--m", "--tol", "--T", "--out"},
     "example": {"--m", "--grid", "--tol", "--T", "--out", "--format"},
-    "solve": {"--grid", "--tol", "--T", "--seed", "--out", "--format"},
+    "solve": {"--out", "--format"},
     "suite": {"--count", "--seed", "--out"},
 }
 
@@ -308,7 +310,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
                     if o != "--help" and o.startswith("--")}
              for name, p in sub.choices.items()}
     assert flags == FLAGS
-    assert sum(len(f) for f in flags.values()) == 28
+    assert sum(len(f) for f in flags.values()) == 24
 
 
 @pytest.mark.parametrize("argv", [
@@ -317,6 +319,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     ["stieltjes", "E611_F", "identity", "--format", "csv"],
     ["example", "heaviside", "--seed", "1"],
     ["solve", "system.yaml", "--m", "3"],
+    ["solve", "system.yaml", "--grid", "64"],
     ["suite", "norms", "--tol", "1e-3"],
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):

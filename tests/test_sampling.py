@@ -170,8 +170,8 @@ def _pow_points(n, count=4000, seed=17):
     """Seeded t in (0, 1) whose phi = frac(n t) has libm pow(phi, 2) !=
     phi * phi."""
     ts = np.random.default_rng(seed + n).uniform(0, 1, count).tolist()
-    return [t for t in ts if sym._frac_phi(t, n, 0) ** 2
-            != sym._frac_phi(t, n, 0) * sym._frac_phi(t, n, 0)]
+    phis = [sym._split(t, n)[1] for t in ts]
+    return [t for t, phi in zip(ts, phis) if phi ** 2 != phi * phi]
 
 
 def test_every_series_term_is_covered():
@@ -208,6 +208,57 @@ def test_continuous_terms_are_zero_at_phi_zero():
             assert cls(n).ev(F(1, n), +1) == 0.0
     with pytest.raises(sym.SecondKindLimit):
         sym.OscCosTerm(2).ev(F(1, 2), +1)
+
+
+def _near_jumps(jumps, m, seed):
+    """Seeded points around each jump c: c itself, 1-4 ulps either side,
+    and c +- SNAP n (n <= m) with a 1-ulp step either side of that."""
+    ts = np.random.default_rng(seed).uniform(-1, 2, 40).tolist()
+    for c in map(float, jumps):
+        ts += [c] + [_ulps(c, k) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]
+        for n in range(1, m + 1):
+            for d in (sym.SNAP * n, -sym.SNAP * n):
+                ts += [c + d, _ulps(c + d, 1), _ulps(c + d, -1)]
+    return ts
+
+
+def _ulps(x, k):
+    """x moved by k ulps (toward -inf for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _jump_leaves(m):
+    out = [sym.Heaviside()]
+    for n in range(1, m + 1):
+        out += [sym.FloorRight(n), sym.LeftFracTerm(n, 2)]
+        out += [c(n) for c in _series_terms() if c is not sym.LeftFracTerm]
+    return out
+
+
+def test_jump_leaves_point_equals_array_near_jumps():
+    for seed, e in enumerate(_jump_leaves(5)):
+        for t in _near_jumps(e.bound_cuts(-1, 2), 5, seed):
+            got, want = e.ev(t), e.ev_array(np.array([t]))[0]
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (type(e).__name__, seed, t)
+
+
+SERIES_FAMILIES = ("E47_G", "E48_F", "E407_Gm", "E408_Fm", "E409_Gm",
+                   "E600_Fm", "E611_F", "t_G", "t2_Gm")
+
+
+@pytest.mark.parametrize("name", SERIES_FAMILIES + ("heaviside",))
+def test_value_equals_sample_near_jumps(name):
+    fs = [B.heaviside()] if name == "heaviside" else \
+        [B.build_function(name, m=m) for m in range(1, 6)]
+    for m, f in enumerate(fs, 1):
+        lo, hi = f.interval.lo, f.interval.hi
+        ts = [t for t in _near_jumps(f.expr.bound_cuts(lo, hi), m, seed=m)
+              if lo <= t <= hi]
+        got = [float(f.value(t)).hex() for t in ts]
+        assert got == [float(v).hex() for v in f.sample(ts)], (name, m)
 
 
 def test_kernel_nodes_agree_on_points():
