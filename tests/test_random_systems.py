@@ -1,6 +1,8 @@
 """Random monotone systems: forcing primitives against a naive exact-call
-reference, ``PiecewisePoly.sample_array`` at float ties, and call-count
-guards on the sampling done while building and bracketing a system."""
+reference, ``PiecewisePoly.sample_array`` at float ties, solutions from the
+sub/supersolution pair against those from the exact bound primitives, and
+call-count guards on the sampling done while building and bracketing a
+system."""
 
 import functools
 from fractions import Fraction
@@ -85,6 +87,33 @@ def _bracket(seed, m):
     S = SY.random_monotone_system(np.random.default_rng(seed), m=m)
     lo, hi = SY.order_bounds_for_random(S)
     return S, lo, hi
+
+
+def _solve(S, pair):
+    """Everything ``smallest_greatest`` returns, as bytes."""
+    y_lo, y_hi, traces = smallest_greatest(S, pair, tol=1e-11, max_steps=300)
+    return ([SV.as_grid(y, S.grid).tobytes() for y in y_lo + y_hi],
+            [(t.labels, [[s.tobytes() for s in st] for st in t.stages],
+              t.stabilized, t.stabilization_index, t.omega_stages,
+              np.float64(t.residual).tobytes()) for t in traces])
+
+
+@pytest.mark.parametrize("per_unit", [128, 5])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_subsuper_pair_solves_as_the_exact_primitives(m, shift, per_unit):
+    """The pair of ``bounds_to_subsuper`` gives the solutions, traces and
+    residuals of a pair of the exact bound primitives, bit for bit."""
+    from leftprim.integral import cumulative
+    for seed in range(12):  # seeds 2 and 11 meet inexact ties at per_unit 5
+        S = SY.random_monotone_system(np.random.default_rng(seed), m=m,
+                                      per_unit=per_unit, shift=shift)
+        lo, hi = SY.order_bounds_for_random(S)
+        a = S.interval.lo
+        exact = SV.SubSuperPair(
+            [cumulative(h, a, c) for h, c in zip(lo, S.c)],
+            [cumulative(h, a, c) for h, c in zip(hi, S.c)])
+        assert _solve(S, bounds_to_subsuper(S, lo, hi)) == _solve(S, exact)
 
 
 def test_bounds_to_subsuper_samples_each_bound_once(monkeypatch):
