@@ -4,7 +4,8 @@ Each subcommand takes only the flags it reads (any other exits 2):
 ``integrate`` --m --tol --T --out; ``norm`` --m --grid --tol --T --out;
 ``stieltjes`` --m --tol --T --out; ``example`` --m --grid --tol --T --out
 --format; ``solve`` --out --format, the rest from its config file (key:
-value blocks; see the demos directory); ``suite`` --count --seed --out.
+value blocks holding only keys its system kind reads; see the demos
+directory); ``suite`` --count --seed --out.
 """
 
 from __future__ import annotations
@@ -177,10 +178,25 @@ def cmd_suite(args):
     return 0 if rep["passed"] else 1
 
 
+# the config keys each ``solve`` system kind reads
+_SOLVE_KEYS = {"ex31": {"system", "tol", "grid", "T"},
+               "ex01": {"system", "T", "grid"},
+               "random_monotone": {"system", "seed", "dimension", "grid", "tol",
+                                   "max_steps", "initial_values"}}
+
+
 def cmd_solve(args):
-    """Solve a system described by a config file."""
+    """Solve a system described by a config file; an unknown system kind, or
+    a key that kind does not read, raises :class:`ConfigError` naming it."""
     cfg = load_config(args.config)
     kind = cfg.get("system", "ex31")
+    if not isinstance(kind, str) or kind not in _SOLVE_KEYS:
+        raise ConfigError(f"{args.config}: unknown system kind {kind!r}; "
+                          f"known: {sorted(_SOLVE_KEYS)}")
+    unread = sorted(map(str, set(cfg) - _SOLVE_KEYS[kind]))
+    if unread:
+        raise ConfigError(f"{args.config}: system {kind} does not read "
+                          f"{', '.join(unread)}")
     if kind == "ex31":
         rep = runs.run_ex31(quad_tol=float(cfg.get("tol", 1e-10)),
                             per_unit=int(cfg.get("grid", 4096)),
@@ -188,10 +204,8 @@ def cmd_solve(args):
     elif kind == "ex01":
         rep = runs.run_ex01(T=float(cfg.get("T") or 5.0),
                             per_unit=int(cfg.get("grid", 256)))
-    elif kind == "random_monotone":
-        rep = runs.run_random_monotone(cfg)
     else:
-        raise SystemExit(f"unknown system kind {kind!r}")
+        rep = runs.run_random_monotone(cfg)
     return _emit_report(rep, args)
 
 

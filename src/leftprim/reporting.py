@@ -124,8 +124,8 @@ def stepfn_from_doc(doc: dict) -> StepFn:
 
 
 class ConfigError(ValueError):
-    """A config file that cannot be read, is not a key: value mapping, or
-    lacks a key its command reads."""
+    """A config file that cannot be read, is not a key: value mapping,
+    lacks a key its command reads or holds one it does not read."""
 
 
 def load_config(path) -> dict:

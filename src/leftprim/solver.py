@@ -159,14 +159,14 @@ class CauchySystem:
     def constant_start(self, values) -> list:
         return [GridFn.constant(self.grid, v) for v in values]
 
-    def spot_check_monotone(self, lower, upper, cases: int = 3):
+    def spot_check_monotone(self, lower, upper):
         """Random ordered pairs inside [lower, upper] must map to ordered
         images; a declared-monotone operator failing this raises."""
         g = self.grid
         rng = np.random.default_rng(0)
         lo = [as_grid(f, g) for f in lower]
         hi = [as_grid(f, g) for f in upper]
-        for _ in range(cases):
+        for _ in range(3):  # random ordered pairs
             w1 = rng.uniform(0, 1)
             w2 = rng.uniform(w1, 1)
             x = [GridFn(g, (1 - w1) * a + w1 * b) for a, b in zip(lo, hi)]
@@ -509,8 +509,8 @@ class SubSuperPair:
         via primitive comparison: y <= F(y) for the lower, F(y) <= y upper.
 
         Each bound is sampled on the grid once; the samples are returned as
-        ``(lower, upper)`` lists of arrays.  The operator is still applied to
-        the bounds themselves."""
+        ``(lower, upper)`` lists of arrays.  The operator receives the bounds
+        themselves, so GridFn bounds reach it as their arrays."""
         g = S.grid
         lo = [as_grid(f, g) for f in self.lower]
         hi = [as_grid(f, g) for f in self.upper]
@@ -528,9 +528,10 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
 
     The up-chain from the lower bound yields the smallest solution, the
     down-chain from the upper bound the greatest; both are verified as fixed
-    points on the grid and bracket-ordered.  Each bound is sampled on the
-    grid once here (and once more as a chain start); the checks share the
-    samples.  A grid residual above 50 ``tol`` raises FixedPointError.
+    points on the grid and bracket-ordered.  The checks share one grid
+    sample of each bound; each chain starts from the bound itself (a GridFn
+    bound, as from :func:`bounds_to_subsuper`, is its samples).  A grid
+    residual above 50 ``tol`` raises FixedPointError.
     """
     lo, hi = pair.validate(S)
     if S.monotone:
@@ -552,33 +553,30 @@ def smallest_greatest(S: CauchySystem, pair: SubSuperPair, tol: float = 1e-10,
     return y_lo, y_hi, (tr_up, tr_dn)
 
 
-def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list,
-                       spot_checks: int = 5) -> SubSuperPair:
+def bounds_to_subsuper(S: CauchySystem, h_lo: list, h_hi: list) -> SubSuperPair:
     """Sub/supersolution pair from order bounds h_lo <= f_i(x) <= h_hi.
 
-    The bounds are distributions; the pair is built from their cumulative
-    primitives: y_i = c_i + int_a^t h_i.  The declared order is spot-checked
-    by applying the operator to random vectors inside the candidate interval;
-    each bound is sampled on the grid once for all the checks.
+    The bounds are distributions; the pair holds the values of their
+    cumulative primitives y_i = c_i + int_a^t h_i on ``S.grid`` as GridFns,
+    which is all that maps reading their inputs on that grid see.  A system
+    whose maps read their inputs off the grid builds its own pair, as
+    ``systems.ex31_subsuper`` does.  The declared order is spot-checked by
+    applying the operator to random vectors inside the pair.
     """
     from .integral import cumulative
 
-    a = S.interval.lo
-    lower = [cumulative(h, a, S.c[i]) for i, h in enumerate(h_lo)]
-    upper = [cumulative(h, a, S.c[i]) for i, h in enumerate(h_hi)]
-    pair = SubSuperPair(lower, upper)
-    g = S.grid
-    los = [as_grid(f, g) for f in lower]
-    his = [as_grid(f, g) for f in upper]
+    a, g = S.interval.lo, S.grid
+    los = [as_grid(cumulative(h, a, S.c[i]), g) for i, h in enumerate(h_lo)]
+    his = [as_grid(cumulative(h, a, S.c[i]), g) for i, h in enumerate(h_hi)]
     rng = np.random.default_rng(0)
-    for _ in range(spot_checks):
+    for _ in range(5):  # random vectors for the order spot check
         w = rng.uniform(0, 1, size=S.m)
         x = [GridFn(g, (1 - wi) * lo + wi * hi)
              for wi, lo, hi in zip(w, los, his)]
         fx = [as_grid(f, g) for f in apply_operator(S, x)]
-        _check_order(los, fx, g, "declared order bounds fail a spot check")
-        _check_order(fx, his, g, "declared order bounds fail a spot check")
-    return pair
+        _check_order(los + fx, fx + his, g,
+                     "declared order bounds fail a spot check")
+    return SubSuperPair([GridFn(g, v) for v in los], [GridFn(g, v) for v in his])
 
 
 @dataclass

@@ -267,6 +267,40 @@ def test_random_monotone_config_rejects_bad_input(tmp_path, capsys, doc, message
     assert message in _one_line_error(capsys, "solve")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"system": "random_monotone", "seed": 7, "grid": 16, "T": 9},
+     "system random_monotone does not read T"),
+    ({"system": "random_monotone", "seed": 7, "grid": 16, "bogus": 1},
+     "system random_monotone does not read bogus"),
+    ({"system": "ex01", "T": 2, "grid": 16, "tol": 1e-3, "seed": 5},
+     "system ex01 does not read seed, tol"),
+    ({"system": "ex31", "grid": 64, "dimension": 2},
+     "system ex31 does not read dimension"),
+    ({"grid": 64, "max_steps": 5}, "system ex31 does not read max_steps"),
+    ({"system": "nope"}, "unknown system kind 'nope'"),
+    ({"system": ["ex01"]}, "unknown system kind ['ex01']"),
+])
+def test_solve_config_with_a_key_its_kind_does_not_read_exits_1(
+        tmp_path, capsys, doc, message):
+    cfg = tmp_path / "sys.yaml"
+    dump(doc, cfg)
+    assert run_cli("solve", str(cfg)) == 1
+    assert message in _one_line_error(capsys, "solve")
+
+
+@pytest.mark.parametrize("doc", [
+    {"system": "ex31", "tol": 1e-10, "grid": 128, "T": 1},
+    {"system": "ex01", "T": 2, "grid": 16},
+    {"system": "random_monotone", "seed": 7, "dimension": 2, "grid": 16,
+     "tol": 1e-9, "max_steps": 300, "initial_values": [0.0, 0.5]},
+])
+def test_solve_config_with_every_key_its_kind_reads_runs(tmp_path, capsys, doc):
+    cfg = tmp_path / "sys.yaml"
+    dump(doc, cfg)
+    assert run_cli("solve", str(cfg)) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("name", ["ex01", "ex01_closed_form"])
 def test_ex01_ending_before_t_1_reports_one_line(name, capsys):
     assert run_cli("example", name, "--T", "0.5") == 1

@@ -4,7 +4,6 @@ sub/supersolution pair against those from the exact bound primitives, and
 call-count guards on the sampling done while building and bracketing a
 system."""
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -116,28 +115,26 @@ def test_subsuper_pair_solves_as_the_exact_primitives(m, shift, per_unit):
         assert _solve(S, bounds_to_subsuper(S, lo, hi)) == _solve(S, exact)
 
 
-def test_bounds_to_subsuper_samples_each_bound_once(monkeypatch):
-    S, lo, hi = _bracket(3, 3)
-    counts = {}
-    _counting(monkeypatch, RegulatedFn, "sample", counts)
-    pair = bounds_to_subsuper(S, lo, hi, spot_checks=5)
-    assert [counts[id(f)] for f in pair.lower + pair.upper] == [1] * 6
+def test_solve_samples_each_bound_primitive_once(monkeypatch):
+    """Over ``bounds_to_subsuper`` and ``smallest_greatest``, each of the 2m
+    order-bound primitives is sampled once, on the grid, and the component
+    maps receive only GridFns."""
+    sample, sampled, inputs = RegulatedFn.sample, [], []
 
+    def counted(self, ts):
+        sampled.append(self)
+        return sample(self, ts)
 
-def test_smallest_greatest_pair_samples_do_not_grow(monkeypatch):
-    """Own samples: one shared by every check plus one chain start per bound;
-    the operator samples each bound m times in the role check and m times
-    in the first chain step."""
-    S, lo, hi = _bracket(4, 2)
-    pair = bounds_to_subsuper(S, lo, hi)
-    counts = {}
-    _counting(monkeypatch, RegulatedFn, "sample", counts)
-    spot = SV.CauchySystem.spot_check_monotone
-    seen = []
-    for cases in (1, 3, 9):
-        monkeypatch.setattr(SV.CauchySystem, "spot_check_monotone",
-                            functools.partialmethod(spot, cases=cases))
-        counts.clear()
+    monkeypatch.setattr(RegulatedFn, "sample", counted)
+    for seed, m in ((3, 3), (4, 2), (5, 1)):
+        S, lo, hi = _bracket(seed, m)
+        S.component_maps = [lambda x, phi=phi: inputs.extend(x) or phi(x)
+                            for phi in S.component_maps]
+        sampled.clear()
+        inputs.clear()
+        pair = bounds_to_subsuper(S, lo, hi)
         smallest_greatest(S, pair, tol=1e-11, max_steps=300)
-        seen.append([counts[id(f)] for f in pair.lower + pair.upper])
-    assert seen == [[2 + 2 * S.m] * (2 * S.m)] * 3
+        assert len({id(f) for f in sampled}) == len(sampled) == 2 * m
+        assert [sample(f, S.grid).tobytes() for f in sampled] == \
+            [f.values.tobytes() for f in pair.lower + pair.upper]
+        assert inputs and {type(f) for f in inputs} == {GridFn}
