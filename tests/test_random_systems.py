@@ -1,7 +1,7 @@
 """Random monotone systems: forcing primitives against a naive exact-call
 reference, ``PiecewisePoly.sample_array`` at float ties, solutions from the
 sub/supersolution pair against those from the exact bound primitives, and
-call-count guards on the sampling done while building and bracketing a
+call-count guards on the sampling done while building and solving a
 system."""
 
 from fractions import Fraction
@@ -104,7 +104,9 @@ def test_subsuper_pair_solves_as_the_exact_primitives(m, shift, per_unit):
     """The pair of ``bounds_to_subsuper`` gives the solutions, traces and
     residuals of a pair of the exact bound primitives, bit for bit."""
     from leftprim.integral import cumulative
-    for seed in range(12):  # seeds 2 and 11 meet inexact ties at per_unit 5
+    # at per_unit 5, seeds 2 (m = 2) and 11 (m = 3) meet a break b with
+    # t == float(b) != b
+    for seed in range(12):
         S = SY.random_monotone_system(np.random.default_rng(seed), m=m,
                                       per_unit=per_unit, shift=shift)
         lo, hi = SY.order_bounds_for_random(S)
