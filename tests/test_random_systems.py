@@ -117,26 +117,45 @@ def test_subsuper_pair_solves_as_the_exact_primitives(m, shift, per_unit):
         assert _solve(S, bounds_to_subsuper(S, lo, hi)) == _solve(S, exact)
 
 
-def test_solve_samples_each_bound_primitive_once(monkeypatch):
-    """Over ``bounds_to_subsuper`` and ``smallest_greatest``, each of the 2m
-    order-bound primitives is sampled once, on the grid, and the component
-    maps receive only GridFns."""
-    sample, sampled, inputs = RegulatedFn.sample, [], []
+def _sampled(monkeypatch):
+    """Record every ``RegulatedFn.sample`` call; return the list and the
+    unwrapped method."""
+    sample, sampled = RegulatedFn.sample, []
 
     def counted(self, ts):
         sampled.append(self)
         return sample(self, ts)
 
     monkeypatch.setattr(RegulatedFn, "sample", counted)
+    return sampled, sample
+
+
+def test_bounds_to_subsuper_samples_each_bound_once(monkeypatch):
+    """``bounds_to_subsuper`` samples each of the 2m order-bound primitives
+    once, on the grid, and returns those samples as the pair."""
+    sampled, sample = _sampled(monkeypatch)
+    for seed, m in ((3, 3), (4, 2), (5, 1)):
+        S, lo, hi = _bracket(seed, m)
+        sampled.clear()
+        pair = bounds_to_subsuper(S, lo, hi)
+        assert len({id(f) for f in sampled}) == len(sampled) == 2 * m
+        assert [sample(f, S.grid).tobytes() for f in sampled] == \
+            [f.values.tobytes() for f in pair.lower + pair.upper]
+        assert {type(f) for f in pair.lower + pair.upper} == {GridFn}
+
+
+def test_smallest_greatest_pair_samples_do_not_grow(monkeypatch):
+    """``smallest_greatest`` on the pair of ``bounds_to_subsuper`` samples
+    no primitive again, and the component maps receive only GridFns."""
+    sampled, _ = _sampled(monkeypatch)
+    inputs = []
     for seed, m in ((3, 3), (4, 2), (5, 1)):
         S, lo, hi = _bracket(seed, m)
         S.component_maps = [lambda x, phi=phi: inputs.extend(x) or phi(x)
                             for phi in S.component_maps]
+        pair = bounds_to_subsuper(S, lo, hi)
         sampled.clear()
         inputs.clear()
-        pair = bounds_to_subsuper(S, lo, hi)
         smallest_greatest(S, pair, tol=1e-11, max_steps=300)
-        assert len({id(f) for f in sampled}) == len(sampled) == 2 * m
-        assert [sample(f, S.grid).tobytes() for f in sampled] == \
-            [f.values.tobytes() for f in pair.lower + pair.upper]
+        assert sampled == []
         assert inputs and {type(f) for f in inputs} == {GridFn}
