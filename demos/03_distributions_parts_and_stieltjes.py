@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Distributions through their primitives: the Dirac measure, integration
-by parts against Lipschitz multipliers, and the left-gauge Stieltjes
-integral with its gauge-partition verification surface.
+"""Distributions through their primitives: the Dirac measure, an HK-only
+distribution with its Hake limits and test-function pairing, the product
+on the Riemann-class algebra, integration by parts against Lipschitz
+multipliers, and the left-gauge Stieltjes integral with its gauge-partition
+verification surface.
 """
 
 from fractions import Fraction
 
-from leftprim import (LeftGauge, Multiplier, RegulatedFn, StepFn, dirac,
-                      fine_partition, mu_interval, pairing, parts,
-                      primitive_integral, stieltjes, stieltjes_sum)
+import numpy as np
+
+from leftprim import (Distribution, LeftGauge, Multiplier, RegulatedFn, StepFn,
+                      dirac, fine_partition, hake, integrate_regulated,
+                      mu_interval, pairing, parts, primitive_integral, product,
+                      stieltjes, stieltjes_sum)
+from leftprim import builders as B
 from leftprim.gauge import PartitionOverflow, uniform_partition
 from leftprim.integral import TestFn
+from leftprim.quadrature import integrate_piecewise
 from leftprim.stepfn import PiecewisePoly
 
 F = Fraction
@@ -23,10 +30,41 @@ print("endpoint conventions: [0,1) ->", primitive_integral(d, 0, 1),
 phi = TestFn(0.0, 0.5)
 print("sifting through a bump test function:", pairing(d, phi))
 
+print("\n== an HK-only distribution: Hake limits and pairing ==")
+# f = (1/t) sin(1/t) + cos(1/t) + 1 is not Lebesgue integrable near 0; its
+# primitive is t(1 + cos(1/t))
+f = Distribution(B.shape_A())
+print("Hake: lim_{x->0+} int_x^1 f = F(1) - F(0+) =", hake(f, "left_endpoint", 1),
+      "= primitive integral", primitive_integral(f, 0, 1))
+g_f = B.g_factor_B()  # f itself, with shape_A registered as its primitive
+print("  int_x^1 f for x = 1e-2, 1e-4, 1e-6:",
+      [round(integrate_regulated(g_f, x, 1)[0], 9) for x in (1e-2, 1e-4, 1e-6)])
+print("  lim_{y->1-} int_{1/2}^y f = F(1-) - F(1/2) =",
+      hake(f, "right_endpoint", F(1, 2)))
+bump = TestFn(0.5, 0.25)
+direct, _ = integrate_piecewise(
+    lambda ts: g_f.sample(ts) * np.vectorize(bump)(ts), 0.25, 0.75, [], 1e-12)
+print(f"<f, phi> = -int F phi' = {pairing(f, bump):.13f};  int f phi = {direct:.13f}")
+
+print("\n== the product on the Riemann-class algebra ==")
+# the primitive of the product of two LR distributions is the pointwise
+# product of their primitives: here a step U and W(t) = t
+U = RegulatedFn.from_step(StepFn([F(0), F(1, 2), F(1)], [F(1), F(3)]))
+W = RegulatedFn.from_poly(PiecewisePoly([F(0), F(1)], [(F(0), F(1))]))
+uw = product(Distribution(U, "LR"), Distribution(W, "LR"))
+print("int_0^1 u w = U(1) W(1) - U(0) W(0) =", primitive_integral(uw, 0, 1),
+      "  int_{1/4}^{3/4} u w =", primitive_integral(uw, F(1, 4), F(3, 4)),
+      "= 3 (3/4) - 1 (1/4)")
+
 print("\n== integration by parts ==")
 g = Multiplier.from_step_density(StepFn.constant(-1, 1, F(1)), F(-1))
 value, bound = parts(d, g, -1, 1)
 print(f"against g(x) = x+1: value {value} (= g(0)), certified bound {bound}")
+g_smooth = Multiplier(B.monomial(1, -1, 1), 0)  # density t: g(x) = x^2 / 2
+value, bound = parts(d, g_smooth, -1, 1)
+print(f"against g(x) = x^2/2: value {value:.1e} (= g(0) = 0), bound {bound} "
+      f"with a sampled variation {g_smooth.variation} "
+      f"(certified: {g_smooth.variation_certified})")
 
 print("\n== left-gauge partitions ==")
 P = fine_partition(LeftGauge(width=F(1, 4)), F(0), F(1))

@@ -138,11 +138,12 @@ def recip_t(lo=0, hi=1) -> RegulatedFn:
 
 
 class AlternatingIndicatorTail:
-    """The countably stepped sequence behind the non-completeness identities.
+    """The tail behind the non-completeness identities.
 
-    ``F = sum_{m>=2} (-1)^m chi_{(-1/m, -1/(m+1)]}`` on [-1, 0] and its
-    partial sums ``F_n``.  The difference ``F - F_n`` is the tail from
-    ``m = n+1``; its cells tile ``(-1/(n+1), 0)`` exactly, which this class
+    ``F = sum_{m>=2} (-1)^m chi_{(-1/m, -1/(m+1)]}`` on [-1, 0] has the
+    partial sums ``F_n``.  This class builds the difference ``F - F_n``, the
+    tail from ``m = n+1``, as exact step data truncated after finitely many
+    cells; its cells tile ``(-1/(n+1), 0)`` exactly, which this class
     verifies programmatically and then exploits for exact norms.
     """
 
@@ -150,21 +151,6 @@ class AlternatingIndicatorTail:
         if n < 1:  # F_1 is the empty partial sum
             raise ValueError(f"tail index must be >= 1, got {n}")
         self.n = n
-
-    def partial(self, upto: int) -> StepFn:
-        """F_upto as exact step data on [-1, 0]."""
-        breaks = [Fraction(-1)]
-        values = []
-        for m in range(2, upto + 1):
-            x, y = Fraction(-1, m), Fraction(-1, m + 1)
-            if x > breaks[-1]:
-                breaks.append(x)
-                values.append(Fraction(0))
-            breaks.append(y)
-            values.append(Fraction((-1) ** m))
-        breaks.append(Fraction(0))
-        values.append(Fraction(0))
-        return StepFn(breaks, values, Fraction(0))
 
     def tail_truncation(self, depth: int = 64) -> StepFn:
         """(F - F_n) truncated after `depth` tail cells, on [-1, 0]."""

@@ -200,9 +200,9 @@ def cmd_solve(args):
     if kind == "ex31":
         rep = runs.run_ex31(quad_tol=float(cfg.get("tol", 1e-10)),
                             per_unit=int(cfg.get("grid", 4096)),
-                            T=cfg.get("T") or 1)
+                            T=cfg.get("T", 1))
     elif kind == "ex01":
-        rep = runs.run_ex01(T=float(cfg.get("T") or 5.0),
+        rep = runs.run_ex01(T=float(cfg.get("T", 5.0)),
                             per_unit=int(cfg.get("grid", 256)))
     else:
         rep = runs.run_random_monotone(cfg)

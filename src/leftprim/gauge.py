@@ -84,10 +84,6 @@ class LeftPartition:
             if y1 != x2:
                 raise PartitionError("cells must be contiguous left to right")
 
-    @property
-    def span(self):
-        return self.cells[0][0], self.cells[-1][1]
-
 
 def fine_partition(gamma: LeftGauge, a, b, max_cells: int = 10_000) -> LeftPartition:
     """Greedy right-to-left gamma-fine left partition of (a, b].

@@ -129,10 +129,6 @@ class Multiplier:
     def from_step_density(cls, h: StepFn, anchor) -> "Multiplier":
         return cls(RegulatedFn.from_step(h), anchor)
 
-    @property
-    def interval(self) -> Interval:
-        return self.density.interval
-
     def g_fn(self) -> PiecewisePoly:
         """g as an exact piecewise-linear function (step densities only)."""
         if self.density.kind != "step":

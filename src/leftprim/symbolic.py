@@ -3,7 +3,7 @@
 Expression nodes are the package's one function protocol.  Leaves hold exact
 step and piecewise-polynomial data (:class:`StepLeaf`, :class:`PolyLeaf`),
 the truncated oscillatory series built from ``frac(n t)`` compositions,
-floor/Heaviside steps, monomials, and the ``t * trig(1/t)`` shapes; sums,
+Heaviside steps, monomials, and the ``t * trig(1/t)`` shapes; sums,
 scalings, products, pointwise extremes and absolute values combine them,
 each with one combine of its children's values that serves the point, the
 domain-minimum and the array paths alike.  Every node knows
@@ -18,7 +18,7 @@ domain-minimum and the array paths alike.  Every node knows
 * a closed-form integral where one exists (``None`` otherwise),
 * a singularity class used by the integrability classifier.
 
-One function, ``_split``, picks the branch at a jump of the frac, floor and
+One function, ``_split``, picks the branch at a jump of the frac and
 Heaviside leaves, for points and arrays alike: exactly at a rational point,
 and within ``SNAP`` of a jump for a float, so that rational jump locations
 survive the round trip through binary floats.
@@ -241,7 +241,12 @@ class Monomial(Expr):
         return np.asarray(ts, dtype=float) ** self.k
 
     def osc_bound_array(self, us, vs):
-        return np.abs(vs ** self.k - us ** self.k)
+        out = np.abs(vs ** self.k - us ** self.k)
+        if self.k % 2 == 0:  # an even power takes its least value 0 ** k at 0
+            across = (us < 0) & (vs > 0)
+            out = np.where(across, np.maximum(us ** self.k, vs ** self.k)
+                           - 0.0 ** self.k, out)
+        return out
 
     def sup_bound_array(self, us, vs):
         return np.maximum(np.abs(us) ** self.k, np.abs(vs) ** self.k)
@@ -275,24 +280,6 @@ class Heaviside(_JumpLeaf):
 
     def sup_bound_array(self, us, vs):
         return np.ones(np.shape(us))
-
-
-class FloorRight(_JumpLeaf):
-    """[n t] with [z] = m for m <= z < m+1; value at a jump is the left branch."""
-
-    def _of(self, fl, phi):
-        return fl
-
-    def jumps(self, lo, hi):
-        return _rationals_in(lo, hi, self.n)
-
-    def osc_bound_array(self, us, vs):
-        # constant between consecutive jumps
-        return np.zeros(np.shape(us))
-
-    def sup_bound_array(self, us, vs):
-        right_at_u = np.floor(np.asarray(us, dtype=float) * self.n)
-        return np.maximum(np.abs(right_at_u), np.abs(self.ev_array(vs))) + 1
 
 
 class SeriesTerm(_JumpLeaf):
@@ -455,7 +442,7 @@ class SqrtFloorTerm(SeriesTerm):
         return (np.sqrt(phi_hi) - np.sqrt(np.maximum(phi_lo, 0.0))) / self.n
 
     def sup_bound_array(self, us, vs):
-        return (np.abs(FloorRight(self.n).ev_array(vs)) + 1) / self.n
+        return (np.abs(_split(vs, self.n)[0]) + 1) / self.n
 
 
 class LeftFracTerm(SeriesTerm):

@@ -91,8 +91,11 @@ def ex31_system(T=1, per_unit: int = 4096, quad_tol: float = 1e-12) -> CauchySys
 
     Operator: F_1(x) = G_1 + arctan(floor(1e5 I_2)/1e4) * shape_A and
     F_2(x) = G_2 + tanh(floor(3e4 I_1)/1e4) * shape_B, with
-    I_i = int_0^1 (x_i - G_i) and G_i = 0.
+    I_i = int_0^1 (x_i - G_i) and G_i = 0.  The operator integrates over
+    [0, 1], so T >= 1.
     """
+    if T < 1:
+        raise DomainError(f"ex31 integrates its iterates over [0, 1], past T = {float(T):g}")
     iv = Interval(Fraction(0), Fraction(T))
     sA = B.shape_A(0, T)
     sB = B.shape_B(0, T)

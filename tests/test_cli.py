@@ -307,6 +307,20 @@ def test_ex01_ending_before_t_1_reports_one_line(name, capsys):
     assert "t = 1" in _one_line_error(capsys, "example")
 
 
+def test_ex31_ending_before_t_1_reports_one_line(capsys):
+    # its operator integrates each iterate over [0, 1]
+    assert run_cli("example", "ex31", "--T", "0.5") == 1
+    assert "[0, 1]" in _one_line_error(capsys, "example")
+
+
+@pytest.mark.parametrize("kind, message", [("ex01", "t = 1"), ("ex31", "[0, 1]")])
+def test_solve_reads_a_zero_T_as_given(tmp_path, capsys, kind, message):
+    cfg = tmp_path / "sys.yaml"
+    dump({"system": kind, "T": 0}, cfg)
+    assert run_cli("solve", str(cfg)) == 1
+    assert message in _one_line_error(capsys, "solve")
+
+
 def test_random_monotone_report_is_timed_and_exports_its_up_chain(
         tmp_path, monkeypatch, capsys):
     from leftprim.runs import run_random_monotone

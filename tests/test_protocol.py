@@ -36,8 +36,8 @@ NODES = [
     (sym.StepLeaf(random_stepfn(np.random.default_rng(3))), 0, 1),
     (sym.PolyLeaf(_poly()), 0, 1),
     (sym.Monomial(3), -1, 2),
+    (sym.Monomial(2), -1, 1),
     (sym.Heaviside(), -1, 1),
-    (sym.FloorRight(3), 0, 2),
     (sym.OscCosTerm(3), 0, 1),
     (sym.SmoothSquareCosTerm(2), 0, 1),
     (sym.HardOscTerm(2), 0, 1),

@@ -232,7 +232,7 @@ def _ulps(x, k):
 def _jump_leaves(m):
     out = [sym.Heaviside()]
     for n in range(1, m + 1):
-        out += [sym.FloorRight(n), sym.LeftFracTerm(n, 2)]
+        out.append(sym.LeftFracTerm(n, 2))
         out += [c(n) for c in _series_terms() if c is not sym.LeftFracTerm]
     return out
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from leftprim import gauge
-from leftprim.builders import AlternatingIndicatorTail
 from leftprim.funcspace import RegulatedFn
 from leftprim.intervals import DomainError
 from leftprim.stepfn import (PiecewisePoly, StepFn, _poly_add, _poly_mul,
@@ -434,9 +433,10 @@ def int_step(rng, typ):
 
 def harmonic(rng):
     """Steps on [-1, 0] with breaks -1/k: their denominator is above the bound."""
-    f = AlternatingIndicatorTail(1).partial(int(rng.integers(200, 260)))
-    values = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in f.values]
-    return StepFn(f.breaks, values, F(1))
+    k = int(rng.integers(200, 260))
+    breaks = [F(-1)] + [F(-1, m) for m in range(2, k + 2)] + [F(0)]
+    values = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in breaks[1:]]
+    return StepFn(breaks, values, F(1))
 
 
 def float_step(rng):
