@@ -1,14 +1,13 @@
 """Monotone fixed-point machinery for distributional Cauchy systems.
 
-The engine iterates an increasing operator on vectors of functions.  Three
+The engine iterates an increasing operator on vectors of functions.  Two
 carrier types interoperate:
 
-* :class:`~leftprim.funcspace.RegulatedFn` (symbolic/step/poly),
+* :class:`~leftprim.funcspace.RegulatedFn` (symbolic/step/poly), and
 * :class:`GridFn` (values on the verification grid, piecewise linear
-  semantics between nodes), and
-* :class:`TaggedFn`, a RegulatedFn plus a hashable quantization tag that
-  enables *exact* stabilization detection when iterates live in a
-  finite-coefficient family.
+  semantics between nodes).  A GridFn may carry a hashable ``tag`` naming
+  it exactly when the iterates live in a finite-coefficient family; a chain
+  whose iterates all carry tags settles when the tags repeat.
 
 Between finite iteration stages the engine forms omega-stages: the pointwise
 sup/inf on the grid (which for a monotone chain is the latest iterate)
@@ -20,7 +19,8 @@ pointwise action is the identity, by quadratic extrapolation from the left
 Every chain (up/down, envelope, bracket) runs through one loop,
 :func:`_monotone_chain`: it owns the step budget, the order check, the trace,
 the omega-stage count and the stabilization fields; each chain supplies a
-step (next iterate and grid samples), a stop rule and its omega closure.
+step (next iterate and grid samples), a stop rule and, given an omega
+budget, its omega closure.
 :func:`windowed_chain` runs that loop once per window of a causal system and
 stops each window on a sub/supersolution bracket around an extrapolate;
 :func:`windowed_envelope` bounds a causal uniqueness envelope window by
@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funcspace import RegulatedFn
 from .intervals import Interval
 
 
@@ -62,13 +61,15 @@ class SolverDataError(ValueError):
 
 
 class GridFn:
-    """Function known through its values on a fixed grid."""
+    """Function known through its values on a fixed grid, with an optional
+    hashable ``tag`` for exact iterate comparison."""
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "tag")
 
-    def __init__(self, grid, values):
+    def __init__(self, grid, values, tag=None):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
+        self.tag = tag
         if self.grid.shape != self.values.shape:
             raise SolverDataError(
                 f"grid shape {self.grid.shape} != values shape "
@@ -87,20 +88,11 @@ class GridFn:
         return np.interp(ts, self.grid, self.values)
 
     def __add__(self, c):
-        return GridFn(self.grid, self.values + float(c))
-
-
-class TaggedFn:
-    """A RegulatedFn with a hashable tag for exact iterate comparison."""
-
-    __slots__ = ("fn", "tag")
-
-    def __init__(self, fn: RegulatedFn, tag):
-        self.fn = fn
-        self.tag = tag
-
-    def sample(self, ts):
-        return self.fn.sample(ts)
+        """Shift by the constant ``c``; a tag ``t`` becomes ``(t, c)``, an int
+        or Fraction ``c`` kept exact."""
+        tag = None if self.tag is None else (
+            self.tag, c if isinstance(c, (int, Fraction)) else float(c))
+        return GridFn(self.grid, self.values + float(c), tag)
 
 
 def as_grid(fn, grid) -> np.ndarray:
@@ -131,12 +123,14 @@ class CauchySystem:
     """First-order system y_i' = f_i(y), y_i(a) = c_i on [a, b).
 
     ``component_maps[i]`` maps the current iterate vector to the primitive of
-    f_i evaluated on it: a function object vanishing (in right limit) at
-    ``a``.  ``closure_points`` are branch points where the operator's
-    pointwise action degenerates to the identity and left-continuity closure
-    applies.  Random monotone systems also record their exact step forcing
-    terms and the nonnegative link weight matrix, from which their order
-    bounds are built.
+    f_i evaluated on it: a :class:`GridFn` on ``grid`` vanishing (in right
+    limit) at ``a``, tagged when it lies in a finite-coefficient family.
+    The iterates it reads may be any carrier with ``sample``, such as a
+    chain's RegulatedFn start.  ``closure_points`` are branch points where
+    the operator's pointwise action degenerates to the identity and
+    left-continuity closure applies.  Random monotone systems also record
+    their exact step forcing terms and the nonnegative link weight matrix,
+    from which their order bounds are built.
     """
 
     m: int
@@ -178,27 +172,7 @@ class CauchySystem:
 
 def apply_operator(S: CauchySystem, x: list) -> list:
     """F(x) = (c_i + Phi_i(x))_i."""
-    out = []
-    for i, phi in enumerate(S.component_maps):
-        p = phi(x)
-        ci = S.c[i]
-        if isinstance(p, TaggedFn):
-            out.append(TaggedFn(_fn_plus_const(p.fn, ci), (p.tag, _num(ci))))
-        elif isinstance(p, GridFn):
-            out.append(p + ci)
-        else:
-            out.append(_fn_plus_const(p, ci))
-    return out
-
-
-def _num(c):
-    return c if isinstance(c, (int, Fraction)) else float(c)
-
-
-def _fn_plus_const(fn: RegulatedFn, c) -> RegulatedFn:
-    if c == 0:
-        return fn
-    return fn + RegulatedFn.constant(c, fn.interval)
+    return [phi(x) + c for phi, c in zip(S.component_maps, S.c)]
 
 
 def closure_indices(grid: np.ndarray, closure_points) -> list:
@@ -275,16 +249,22 @@ def _monotone_chain(direction, x, xs, step, stop, close, max_steps,
     """The one monotone-chain loop, from ``x`` with grid samples ``xs``.
 
     ``step(x, xs)`` gives the next iterate and samples, ``close(xs)`` the
-    omega-stage ones.  ``stop(x, x_new, new, diff)``, with ``diff`` the sup
-    distance of the samples, says whether the new iterate repeats the old
-    one (``_SETTLED``), meets the target (``_REACHED``) or stalls
-    (``_STALLED``: close now).  A move against ``direction`` by more than
+    omega-stage ones, which start each of the ``max_omega_stages`` passes
+    after the first (a chain with no omega budget passes ``close=None``).
+    ``stop(x, x_new, new, diff)``, with ``diff`` the sup distance of the
+    samples, says whether the new iterate repeats the old one
+    (``_SETTLED``), meets the target (``_REACHED``) or stalls (``_STALLED``:
+    end the pass).  A move against ``direction`` by more than
     ``mono_eps`` raises ``order_error`` formatted with ``gap`` and ``step``."""
     up = direction == "up"
     trace = IterationTrace(direction)
     trace.add("start", xs)
     n = 0
     for omega in range(max_omega_stages + 1):
+        if omega:
+            x, xs = close(xs)
+            trace.add(f"omega {omega}", xs)
+            trace.omega_stages = omega
         for _ in range(max_steps):
             x_new, new = step(x, xs)
             n += 1
@@ -308,9 +288,6 @@ def _monotone_chain(direction, x, xs, step, stop, close, max_steps,
                 trace.stabilized = True
                 trace.stabilization_index = n - (verdict is _SETTLED)
                 return x, xs, trace
-        x, xs = close(xs)
-        trace.add(f"omega {omega + 1}", xs)
-        trace.omega_stages = omega + 1
     return x, xs, trace
 
 
@@ -345,8 +322,9 @@ def iterate_chain(S: CauchySystem, start: list, direction: str,
         return repaired(new, xs) if S.closure_points else (x_new, new)
 
     def stop(x, x_new, new, diff):
-        if all(isinstance(f, TaggedFn) for f in x + x_new):
-            return [f.tag for f in x] == [f.tag for f in x_new] and _SETTLED
+        tags = [getattr(f, "tag", None) for f in x + x_new]
+        if None not in tags:
+            return tags[:len(x)] == tags[len(x):] and _SETTLED
         return diff <= tol and _SETTLED
 
     # an omega-stage takes the last iterate (the chain's sup/inf) and repairs
@@ -420,10 +398,6 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
                                   o, 1.0) for f, o in zip(F(xs), xs)]
             return fns(new), new
 
-        def close(xs):
-            new = [closure_repair(own, v, v, 1.0) for v in xs]
-            return fns(new), new
-
         def bracket(x0, x1, x2):
             nonlocal delta
             c, den = [v.copy() for v in x2], []
@@ -466,7 +440,7 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
             return diff <= _BRACKET_TOL and _SETTLED
 
         _, xs, t = _monotone_chain(
-            "up", fns(xs), xs, step, stop, close, max_steps - taken, 0, 1e-9,
+            "up", fns(xs), xs, step, stop, None, max_steps - taken, 0, 1e-9,
             0, f"up-chain violated order by {{gap:.3e}} at step {{step}} of "
             f"window {k + 1}")
         if found[0] is not None:
@@ -479,7 +453,6 @@ def windowed_chain(S: CauchySystem, start: list, max_steps: int) -> tuple:
         trace.bracket_widths.append(width)
         trace.labels += [f"window {k + 1} {lbl}" for lbl in t.labels]
         trace.stages += t.stages
-        trace.omega_stages += t.omega_stages
         steps = steps + t.stabilization_index if steps is not None and \
             t.stabilized else None
         a = b + 1

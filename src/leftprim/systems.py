@@ -2,13 +2,14 @@
 
 The two-component quantized system (``ex31``) carries its iterates as exact
 coefficient families: every iterate is G_i + q * shape_i with q = arctan or
-tanh of a quantized rational, so stabilization is detected exactly.  The
-coupling of coefficients to shapes follows the displayed solutions: component
-1 pairs the arctan coefficient (driven by the integral of x_2 - G_2 over
-[0,1]) with t(1+cos(1/t)), component 2 the tanh coefficient with
-t(1-sin(1/t)).  Note the printed factor functions would pair the shapes the
-other way around; this module follows the displayed solution coupling and
-records the discrepancy here rather than resolving it.
+tanh of a quantized rational, held as q times the shape's grid samples (taken
+once per system) and tagged with the quantized integer, so stabilization is
+detected exactly.  The coupling of coefficients to shapes follows the
+displayed solutions: component 1 pairs the arctan coefficient (driven by the
+integral of x_2 - G_2 over [0,1]) with t(1+cos(1/t)), component 2 the tanh
+coefficient with t(1-sin(1/t)).  Note the printed factor functions would pair
+the shapes the other way around; this module follows the displayed solution
+coupling and records the discrepancy here rather than resolving it.
 
 The segment-affine ``ex01`` operator and its envelope ``G`` compute their
 segment data (the [0, 1] split, each point's segment and the grid index of
@@ -34,7 +35,7 @@ from . import builders as B
 from .funcspace import RegulatedFn, integrate_regulated
 from .intervals import DomainError, Interval
 from .solver import (CauchySystem, GridFn, MajorantOp, SolverDataError,
-                     TaggedFn, as_grid, make_grid)
+                     as_grid, make_grid)
 
 
 # -- the quantized two-component system ---------------------------------------------
@@ -92,34 +93,42 @@ def ex31_system(T=1, per_unit: int = 4096, quad_tol: float = 1e-12) -> CauchySys
     Operator: F_1(x) = G_1 + arctan(floor(1e5 I_2)/1e4) * shape_A and
     F_2(x) = G_2 + tanh(floor(3e4 I_1)/1e4) * shape_B, with
     I_i = int_0^1 (x_i - G_i) and G_i = 0.  The operator integrates over
-    [0, 1], so T >= 1.
+    [0, 1], so T >= 1, and 1 is a grid node.
+
+    The maps return q * shape on the grid, tagged ``(kind, k)``, q = kind(k
+    / 1e4).  An iterate tagged ((kind, k), c) integrates to q * J + c, J the
+    shape's closed-form integral; an untagged GridFn by the trapezoid rule
+    on the nodes in [0, 1], a RegulatedFn by ``integrate_regulated``.
     """
     if T < 1:
         raise DomainError(f"ex31 integrates its iterates over [0, 1], past T = {float(T):g}")
     iv = Interval(Fraction(0), Fraction(T))
-    sA = B.shape_A(0, T)
-    sB = B.shape_B(0, T)
-    grid = make_grid(0, T, per_unit)
+    grid = make_grid(0, T, per_unit, include=(1,))
+    k1 = int(np.searchsorted(grid, 1.0, side="right"))  # grid[:k1] is [0, 1]
+    family = {}  # kind -> (q of k, the shape's grid samples, its J)
+    for kind, q, shape in (("atan", math.atan, B.shape_A(0, T)),
+                           ("tanh", math.tanh, B.shape_B(0, T))):
+        J, _ = shape.expr.integral(0, 1, quad_tol)
+        family[kind] = (q, shape.sample(grid), J)
 
     def integral01(fn):
-        if isinstance(fn, TaggedFn):
-            fn = fn.fn
+        if getattr(fn, "tag", None) is not None:
+            (kind, k), c = fn.tag
+            q, _, J = family[kind]
+            return 0.0 + q(k / 1e4) * J + float(c)
         if isinstance(fn, GridFn):
-            return float(np.trapezoid(fn.sample(grid), grid))
-        v, _ = integrate_regulated(fn, 0, 1, quad_tol)
-        return float(v)
+            return float(np.trapezoid(fn.sample(grid)[:k1], grid[:k1]))
+        return float(integrate_regulated(fn, 0, 1, quad_tol)[0])
+
+    def member(kind, k):
+        q, samples, _ = family[kind]
+        return GridFn(grid, 0.0 + q(k / 1e4) * samples, (kind, k))
 
     def phi1(x):
-        i2 = integral01(x[1])
-        k1 = math.floor(1e5 * i2)
-        coeff = math.atan(k1 / 1e4)
-        return TaggedFn(RegulatedFn.lincomb([(coeff, sA)]), ("atan", k1))
+        return member("atan", math.floor(1e5 * integral01(x[1])))
 
     def phi2(x):
-        i1 = integral01(x[0])
-        k2 = math.floor(3e4 * i1)
-        coeff = math.tanh(k2 / 1e4)
-        return TaggedFn(RegulatedFn.lincomb([(coeff, sB)]), ("tanh", k2))
+        return member("tanh", math.floor(3e4 * integral01(x[0])))
 
     return CauchySystem(2, [phi1, phi2], [Fraction(0), Fraction(0)], iv, grid,
                         name="ex31")

@@ -153,7 +153,7 @@ def test_chain_computes_closure_indices_once(monkeypatch):
     _, trace = iterate_chain(S, S.constant_start([-1.0]), "up", tol=1e-13,
                              max_steps=30, max_omega_stages=2)
     steps = sum(lbl.startswith("step") for lbl in trace.labels)
-    assert steps == 90 and trace.omega_stages == 3
+    assert steps == 90 and trace.omega_stages == 2
     assert len(calls) == 1
 
 
@@ -212,7 +212,7 @@ def test_nan_up_chain_is_never_stabilized():
                              max_omega_stages=1)
     assert not trace.stabilized and trace.stabilization_index is None
     assert trace.labels == ["start"] + [f"step {k}" for k in range(1, 6)] + [
-        "omega 1"] + [f"step {k}" for k in range(6, 11)] + ["omega 2"]
+        "omega 1"] + [f"step {k}" for k in range(6, 11)]
 
 
 def test_nan_in_a_later_component_is_never_stabilized():
@@ -227,7 +227,7 @@ def test_nan_in_a_later_component_is_never_stabilized():
         _, trace = iterate_chain(S, start, direction, max_steps=3,
                                  max_omega_stages=0)
         assert not trace.stabilized and trace.stabilization_index is None
-        assert trace.labels == ["start", "step 1", "step 2", "step 3", "omega 1"]
+        assert trace.labels == ["start", "step 1", "step 2", "step 3"]
     assert math.isnan(SV.residual(S, start))
 
 
