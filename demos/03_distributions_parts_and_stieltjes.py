@@ -86,3 +86,13 @@ print("tagged partition sums converge:", [float(s) for s in sums], "->",
       float(val))
 print("atom bookkeeping: mu over (0, 1/3] of a jump-2 step at 1/3:",
       mu_interval(StepFn([F(0), F(1, 3), F(1)], [F(0), F(2)]), F(0), F(1, 3)))
+
+print("\n== Stieltjes integral of a series: int F g' dt plus g's atoms ==")
+f4 = B.left_frac_series(4, p=2)
+atoms = StepFn([F(0), F(1, 3), F(2, 3), F(1)], [F(0), F(2), F(1)])  # jumps 2, -1
+print("E611_F(m=4) against atoms 2 at 1/3 and -1 at 2/3:",
+      stieltjes(f4, atoms, F(0), F(1)), "= tagged sum",
+      stieltjes_sum(f4, atoms, uniform_partition(0, 1, 3)),
+      "= 2 F(1/3) - F(2/3)", 2 * f4.value(F(1, 3)) - f4.value(F(2, 3)))
+print("E611_F(m=3) against t^2: int F 2t dt =",
+      stieltjes(B.left_frac_series(3, p=2), g2, F(0), F(1)))

@@ -269,10 +269,14 @@ def step_approximation(f: RegulatedFn, n: int, J: Interval = None) -> StepFn:
 
     For step input the result is the merged restriction (zero error).  For
     symbolic input the bound is certified on the probe lattice, except inside
-    the reported residual cells hugging second-kind discontinuities.
+    the reported residual cells hugging second-kind discontinuities.  A
+    break at ``float(c)``, for a bound cut or an end c of J, is c itself.
     """
-    part = oscillation_partition(f, n, J or f.interval)
-    return StepFn(part.cuts, part.values, f.value(part.cuts[0]))
+    J = J or f.interval
+    part = oscillation_partition(f, n, J)
+    exact = {float(c): c for c in [J.lo, J.hi, *f.expr.bound_cuts(J.lo, J.hi)]}
+    cuts = part.cuts if f.kind == "step" else [exact.get(x, x) for x in part.cuts]
+    return StepFn(cuts, part.values, f.value(cuts[0]))
 
 
 def lattice(f: RegulatedFn, g: RegulatedFn, op: str) -> RegulatedFn:

@@ -1,11 +1,12 @@
 """Left gauges, gamma-fine left partitions, and the left-gauge Stieltjes
 integral.
 
-The integral of a left-continuous regulated F against a bounded-variation g
-is computed by step-approximating F and summing a_i [g(y_i+) - g(x_i+)] over
-the step cells; the gauge/tagged-sum machinery is kept as a verification
-surface.  Partitions here are finite, with explicit overflow signalling when
-a gauge shrinks too fast toward the left endpoint (the denumerable case).
+The integral of a left-continuous regulated F against exact step or
+polynomial g runs over mu_g((x, y]) = g(y+) - g(x+): an exact cell sum when
+F is step data, else int F g' dt plus g's atoms; the gauge/tagged-sum
+machinery is kept as a verification surface.  Partitions here are finite,
+with explicit overflow signalling when a gauge shrinks too fast toward the
+left endpoint (the denumerable case).
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .funcspace import RegulatedFn, step_approximation
+from . import symbolic as sym
+from .funcspace import RegulatedFn, integrate_regulated
 from .intervals import DomainError, Interval
-from .stepfn import StepFn, _lattice, _q, _right_cells, _sums
+from .stepfn import PiecewisePoly, StepFn, _lattice, _q, _sums
 
 
 class PartitionOverflow(RuntimeError):
@@ -30,12 +30,7 @@ class PartitionOverflow(RuntimeError):
 
 
 class VariationError(ValueError):
-    """Unknown or unbounded total variation, or a tolerance too tight for
-    it; ``loosest_tol``, when set, is a tolerance that is accepted."""
-
-    def __init__(self, message, loosest_tol=None):
-        super().__init__(message)
-        self.loosest_tol = loosest_tol
+    """g is not exact step or piecewise-polynomial data."""
 
 
 class PartitionError(ValueError):
@@ -116,8 +111,8 @@ def _resolve_bv(g):
     if isinstance(g, Multiplier):
         return g.g_fn()
     if isinstance(g, RegulatedFn):
-        if g.kind in ("step", "poly"):
-            return g.payload
+        g = g.payload
+    if not isinstance(g, (StepFn, PiecewisePoly)):
         raise VariationError("g must carry exact step/polynomial data")
     return g
 
@@ -128,21 +123,6 @@ def _g_rights(g, ts):
     k = bisect_left(ts, g.hi)
     tail = [g(g.hi)] * (len(ts) - k) if k < len(ts) else []
     return g.right_limits(ts[:k]) + tail
-
-
-def _stieltjes_floats(xs, g, ts):
-    """``sum_k xs[k] [g(ts[k+1]+) - g(ts[k]+)]`` for float xs and ascending
-    float ts, with the bits of the cell loop in ``stieltjes``; step values are
-    subtracted only where the right-limit cell changes (elsewhere ``v - v``)."""
-    if not isinstance(g, StepFn):
-        d = np.diff(np.array(_g_rights(g, ts), dtype=float))
-    else:
-        v, k = g.values, bisect_left(ts, g.hi)  # from hi on, g(b+) := g(b)
-        c = np.append(_right_cells(ts[:k], g), [len(v) - 1] * (len(ts) - k)).astype(int)
-        d, i = np.array([float(x - x) for x in v])[c[:-1]], np.flatnonzero(np.diff(c))
-        d[i] = [float(v[r] - v[l]) for l, r in zip(c[i].tolist(), c[i + 1].tolist())]
-    # x * Fraction is x * float(Fraction); the sum runs from 0, in order
-    return float(np.cumsum(np.append(0.0, np.multiply(xs, d)))[-1])
 
 
 def mu_interval(g, x, y):
@@ -158,40 +138,42 @@ def mu_interval(g, x, y):
     return gy - gx
 
 
-MAX_LEVEL = 1_000_000  # largest step level stieltjes builds for symbolic F
-
-
 def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
-    """int_a^b F dg for left-continuous regulated F and bounded-variation g.
+    """int_a^b F dg over mu_g((x, y]) = g(y+) - g(x+), for left-continuous
+    regulated F and exact step or piecewise-polynomial g.
 
-    Step-approximates F at level n with Vg/n <= tol, then evaluates the exact
-    cell sum sum a_i [g(y_i+) - g(x_i+)].  The approximation error is bounded
-    by ||F - F_n||_inf Vg <= tol; exact (rational) when F is already a step
-    function and g is exact step data.
+    Step F: the cell sum sum a_i [g(y_i+) - g(x_i+)], exact on exact data.
+    Other F: int_a^b F g' dt cell by cell of g through ``integrate_regulated``
+    at ``tol`` (c int F where g' = c, so primitives and closed forms serve),
+    plus the atoms F(t) [g(t+) - g(t)] at g's breaks t in (a, b].
     """
     gr = _resolve_bv(g)  # a Multiplier builds its g once
-    try:
-        Vg = gr.variation()
-    except NotImplementedError:
-        raise VariationError("total variation of g is not known")
     if F.kind == "step":
         Fn = F.payload.restrict(Fraction(a), Fraction(b)) \
             if (a, b) != (F.payload.lo, F.payload.hi) else F.payload
-    else:
-        n = max(2, int(float(Vg) / tol) + 1) if Vg > 0 else 2
-        if n > MAX_LEVEL:
-            # 2 significant digits, rounded up: any tol > Vg/MAX_LEVEL works
-            loosest = float(f"{1.06 * float(Vg) / (MAX_LEVEL - 1):.2g}")
-            raise VariationError(
-                f"tolerance {tol:g} needs step level n={n} > {MAX_LEVEL}",
-                loosest_tol=loosest)
-        Fn = step_approximation(F, n, Interval(a, b))
-    if all(type(x) is float for x in Fn.breaks + Fn.values):
-        return _stieltjes_floats(Fn.values, gr, Fn.breaks)
-    gv = _g_rights(gr, Fn.breaks)
-    # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
-    acc, _, _, den = _sums(Fn, gv, _lattice(gv) if Fn.exact else (None, None), 0)
-    return _q(acc[-1], den)
+        gv = _g_rights(gr, Fn.breaks)
+        # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
+        acc, _, _, den = _sums(Fn, gv, _lattice(gv) if Fn.exact else (None, None), 0)
+        return _q(acc[-1], den)
+    if a < gr.lo:
+        raise DomainError(f"{a} below the domain of g [{gr.lo}, {gr.hi}]")
+    bs, total = gr.breaks, 0
+    for i, c in enumerate(gr.coeffs if isinstance(gr, PiecewisePoly) else ()):
+        l, r = max(bs[i], a), min(bs[i + 1], b)
+        d = [k * c[k] for k in range(1, len(c))]  # g' on the cell
+        if not l < r or not any(d):
+            continue
+        if any(d[1:]):
+            Fd = sym.Product(F.expr, sym.PolyLeaf(PiecewisePoly([l, r], [d])))
+            total += integrate_regulated(RegulatedFn(Fd, Interval(l, r)), l, r, tol)[0]
+        else:
+            total += d[0] * integrate_regulated(F, l, r, tol)[0]
+    ts = [t for t in bs[1:-1] if a < t <= b]
+    for t, right in zip(ts, gr.right_limits(ts)):
+        jump = right - gr(t)
+        if jump:
+            total += F.value(t) * jump
+    return total
 
 
 def stieltjes_sum(F: RegulatedFn, g, P: LeftPartition):

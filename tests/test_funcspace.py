@@ -1,5 +1,6 @@
 """Limits, step approximation, classification, norms, integration."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -82,6 +83,22 @@ def test_step_approximation_E611(n):
     ts = np.linspace(0, 1, 10_001)
     err = np.abs(RegulatedFn.from_step(sf).sample(ts) - f.sample(ts))
     assert float(np.max(err)) <= 1 / n + 1e-12
+
+
+FAMILIES = sorted(name for name, build in B.BUILDERS.items()
+                  if "m" in inspect.signature(build).parameters)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_step_approximation_keeps_declared_cuts_as_breaks(name):
+    # float(1/3) < 1/3: a break at float(c) would put c on the next cell
+    n = 16
+    for m in range(1, 5):
+        f = B.build_function(name, m=m)
+        J = f.interval
+        sf = step_approximation(f, n)
+        for c in f.expr.bound_cuts(J.lo, J.hi):
+            assert abs(float(sf(c)) - float(f.value(c))) <= 1 / n, (m, c)
 
 
 def test_oscillation_partition_structure():

@@ -144,5 +144,61 @@ def test_stieltjes_builds_a_multipliers_g_once(monkeypatch):
     # the same values as when g was resolved twice, exact and float
     assert stieltjes(Fs, m, F(0), F(1)) == F(-263, 3880)
     assert len(calls) == 1
-    assert stieltjes(B.monomial(1), m, 0, 1, tol=1e-3) == 0.0028423574781909506
+    # g' is the density v on each cell (x, y]: int_0^1 t dg = sum v (y^2 - x^2) / 2
+    exact = sum(v * (y * y - x * x) / 2 for x, y, v in density.to_cells())
+    assert abs(stieltjes(B.monomial(1), m, 0, 1, tol=1e-3) - float(exact)) <= 1e-15
     assert len(calls) == 2
+
+
+# -- the decomposition: int F g' dt plus g's atoms, for F not step data ---------------
+
+ATOMS = StepFn([F(0), F(1, 3), F(2, 3), F(1)], [F(0), F(2), F(1)])  # atoms 2, -1
+IDENTITY = PiecewisePoly([F(0), F(1)], [(F(0), F(1))])
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_stieltjes_atoms_equal_the_tagged_sum(k):
+    # float(1/3) < 1/3: the atom at 1/3 weighs F(1/3), not F(1/3+)
+    f = B.left_frac_series(4, p=2)
+    val = stieltjes(f, ATOMS, F(0), F(1), tol=1e-4)
+    assert val == stieltjes_sum(f, ATOMS, uniform_partition(0, 1, k))
+    assert val == 2 * f.value(F(1, 3)) - f.value(F(2, 3))
+    assert abs(val - 0.3611111111111111) <= 1e-15
+
+
+@pytest.mark.parametrize("name, m, want", [("E47_G", 3, 0.0), ("E407_Gm", 2, 0.0),
+                                           ("E409_Gm", 2, 2.0)])
+def test_stieltjes_against_the_identity(name, m, want):
+    # E407_Gm's registered primitive E408_Fm vanishes at 0 and at 1
+    f = B.build_function(name, m=m)
+    assert abs(stieltjes(f, IDENTITY, F(0), F(1), tol=1e-4) - want) <= 1e-10
+
+
+def test_stieltjes_of_exact_polynomial_data_is_exact():
+    p = PiecewisePoly([F(0), F(1, 2), F(1)], [(F(1), F(2)), (F(0), F(0), F(3))])
+    f = RegulatedFn.from_poly(p)
+    from leftprim.integral import Multiplier
+    m = Multiplier.from_step_density(StepFn([F(0), F(1, 4), F(1)], [F(3), F(-1)]), 0)
+    got = [stieltjes(f, g, F(0), F(1)) for g in (IDENTITY, ATOMS, m)]
+    assert all(type(v) is F for v in got)
+    assert got == [F(13, 8), 2 * p(F(1, 3)) - p(F(2, 3)),
+                   3 * p.integral(0, F(1, 4)) - p.integral(F(1, 4), 1)]
+
+
+def test_stieltjes_of_t_against_t_squared():
+    g = PiecewisePoly([F(0), F(1)], [(F(0), F(0), F(1))])
+    assert abs(stieltjes(B.monomial(1), g, F(0), F(1)) - 2 / 3) <= 1e-12
+    # a jump of 1 at 1/2 adds its atom F(1/2) * 1
+    g = PiecewisePoly([F(0), F(1, 2), F(1)], [(F(0), F(1)), (F(1), F(1))])
+    assert abs(stieltjes(B.monomial(1), g, F(0), F(1)) - 1.0) <= 1e-12
+
+
+def test_stieltjes_counts_the_atom_at_b_and_not_the_one_at_a():
+    # atoms at 0 (base value 0, g(0+) = 1), 1/2 (1 -> 3) and none at 1 (g(1+) := g(1))
+    g = StepFn([F(0), F(1, 2), F(1)], [F(1), F(3)], F(0))
+    t, one = B.monomial(1), B.monomial(0)
+    assert stieltjes(t, g, F(0), F(1, 2)) == 2 * t.value(F(1, 2)) == 1.0
+    assert stieltjes(t, g, F(1, 2), F(1)) == 0
+    assert stieltjes(t, g, F(0), F(1)) == 1.0
+    for x, y in ((F(0), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 2), F(1)), (F(0), F(1))):
+        assert stieltjes(one, g, x, y) == mu_interval(g, x, y)

@@ -46,6 +46,7 @@ ALLOWED = {
     "stepfn.StepFn.refined": _TRACER,
     "stepfn.PiecewisePoly.refined": _TRACER,
     "stepfn._refine": _TRACER,
+    "stepfn.PiecewisePoly.variation": _TRACER,
     "intervals.Interval.__repr__": "debugging aid; no run prints an Interval",
     "funcspace.RegulatedFn.__repr__": "debugging aid; no run prints a RegulatedFn",
     "stepfn.StepFn.__repr__": "debugging aid; no run prints a StepFn",
@@ -94,7 +95,7 @@ def _cli(lp, argv):
             contextlib.redirect_stderr(io.StringIO()):
         try:
             lp.cli.main(argv)
-        except SystemExit:  # the stieltjes hint exits this way
+        except SystemExit:  # argparse exits this way
             pass
 
 
@@ -130,7 +131,7 @@ def _runs(lp, scratch):
         ["solve", "ex31.yaml"],
         ["solve", "ex01.yaml"],
         ["stieltjes", "E611_F", "step.yaml", "--m", "3", "--tol", "1e-4"],
-        ["stieltjes", "E611_F", "heaviside", "--m", "3"],  # its default tol fails
+        ["stieltjes", "E611_F", "heaviside", "--m", "3"],
     ]
     for name in sorted(lp.builders.BUILDERS):
         argvs += [["example", name], ["example", name, "--format", "csv"],

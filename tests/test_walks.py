@@ -751,32 +751,6 @@ def test_float_stieltjes_keeps_nan_where_g_stays_on_an_infinite_value():
     assert ident(gauge.stieltjes(RegulatedFn.from_step(f), g, -1.0, 1.0), want)
 
 
-class CountedSub(Fraction):
-    """A Fraction that counts the subtractions made on it."""
-
-    n = 0
-
-    def __sub__(self, other):
-        CountedSub.n += 1
-        return Fraction.__sub__(self, other)
-
-    def __rsub__(self, other):
-        CountedSub.n += 1
-        return Fraction.__rsub__(self, other)
-
-
-def test_float_stieltjes_subtracts_g_values_only_where_g_moves():
-    rng = np.random.default_rng(3)
-    for n, k in ((1000, 4), (10_000, 16)):
-        g = StepFn([F(i, k) for i in range(k + 1)],
-                   [CountedSub((-1) ** i * (i + 1), 3) for i in range(k)])
-        f = float_F(rng, 0, 1, n)
-        CountedSub.n = 0
-        got = gauge.stieltjes(RegulatedFn.from_step(f), g, 0.0, 1.0)
-        assert CountedSub.n <= 2 * (k + 1)
-        assert ident(got, ref_stieltjes(f, g))
-
-
 # -- the L1 norm without an abs() step ----------------------------------------
 
 
