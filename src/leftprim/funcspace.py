@@ -215,14 +215,14 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
     """Left-open cell partition of J with per-cell oscillation <= 1/n.
 
     Cells are seeded at the declared discontinuities and split by bisection,
-    one ``osc_bound_array`` call per level, while the bound exceeds 1/n, some
-    point of the uniform ``_PROBES``-cell lattice lies in the cell's open
-    interior, and the cell is wider than (hi - lo) 2^-48.  The first probe
-    right of a start u is floor((u - lo) / step) + 1, corrected by one at a
-    time against the lattice until exact.  Step data give the exact, certified
-    merge; symbolic cells at the width floor next to second-kind
-    discontinuities may keep oscillation above 1/n and are listed in
-    ``residual``.
+    one ``osc_bound_array`` call per level, while the bound is not <= 1/n
+    (a NaN bound is not), some point of the uniform ``_PROBES``-cell lattice
+    lies in the cell's open interior, and the cell is wider than
+    (hi - lo) 2^-48.  The first probe right of a start u is
+    floor((u - lo) / step) + 1, corrected by one at a time against the
+    lattice until exact.  Step data give the exact, certified merge;
+    symbolic cells at the width floor next to second-kind discontinuities
+    may keep oscillation above 1/n and are listed in ``residual``.
     """
     if not J.is_compact:
         raise EstimationError(
@@ -247,8 +247,9 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
         # probe strictly inside (u, v): first lattice point > u is < v
         k = _first_probe(grid, us)
         has_probe = (k < len(grid)) & (grid[np.minimum(k, len(grid) - 1)] < vs)
-        split = (osc > target) & wide & has_probe
-        stuck = (osc > target) & ~wide
+        over = ~(osc <= target)  # a NaN bound certifies nothing
+        split = over & wide & has_probe
+        stuck = over & ~wide
         residual.extend(zip(us[stuck], vs[stuck]))
         kept.append(us[~split])
         mid = 0.5 * (us[split] + vs[split])

@@ -14,14 +14,17 @@ domain-minimum and the array paths alike.  Every node knows
   construction,
 * its exact jump set (rationals, as ``Fraction``) on a query interval,
 * certified oscillation and sup bounds on arrays of cells that do not
-  straddle a declared cut, which drive the oscillation-partition refinement,
+  straddle a declared cut, which drive the oscillation-partition refinement
+  (the sup bound defaults to |f(v)| + osc on (u, v]),
 * a closed-form integral where one exists (``None`` otherwise),
 * a singularity class used by the integrability classifier.
 
 One function, ``_split``, picks the branch at a jump of the frac and
 Heaviside leaves, for points and arrays alike: exactly at a rational point,
 and within ``SNAP`` of a jump for a float, so that rational jump locations
-survive the round trip through binary floats.
+survive the round trip through binary floats.  It is the only reader of
+``SNAP``: the ``t * trig(1/t)`` shapes, their derivative factors and ``1/t``
+decide t = 0 exactly, and evaluate a point through their array kernel.
 """
 
 from __future__ import annotations
@@ -128,7 +131,12 @@ class Expr:
 
     # Every node gives its certified bounds in array form only, on cells
     # (u, v] that straddle none of its bound cuts: osc_bound_array(us, vs)
-    # bounds the oscillation, sup_bound_array(us, vs) bounds |f|.
+    # bounds the oscillation, sup_bound_array(us, vs) bounds |f|.  A node
+    # left continuous at v has |f| <= |f(v)| + osc on (u, v]; that is the
+    # |f| bound unless the node has a cheaper closed form.
+
+    def sup_bound_array(self, us, vs):
+        return np.abs(self.ev_array(vs)) + self.osc_bound_array(us, vs)
 
     def integral(self, a, b, tol=1e-12):
         """(integral over [a, b], error bound) in closed form, or None."""
@@ -185,9 +193,6 @@ class StepLeaf(_ExactLeaf):
     def osc_bound_array(self, us, vs):
         return np.zeros(np.shape(us))  # cells are cut at every breakpoint
 
-    def sup_bound_array(self, us, vs):
-        return np.full(np.shape(us), float(self.data.sup_norm()))
-
 
 class PolyLeaf(_ExactLeaf):
     """A :class:`~leftprim.stepfn.PiecewisePoly`."""
@@ -199,19 +204,10 @@ class PolyLeaf(_ExactLeaf):
                                                     exact=False))
 
     def osc_bound_array(self, us, vs):
-        return self._lip_bound(us, vs, float_cells(self.data.breaks, vs,
-                                                   exact=False))
-
-    def sup_bound_array(self, us, vs):
-        """|p(vs)| + the oscillation bound, both on the cell closing at vs."""
-        cells = float_cells(self.data.breaks, vs, exact=False)
-        return (np.abs(self.data.eval_cells(vs, cells))
-                + self._lip_bound(us, vs, cells))
-
-    def _lip_bound(self, us, vs, cells):
-        """Lipschitz bound of the polynomial on ``cells`` over (us, vs],
+        """Lipschitz bound of the polynomial on the cell closing at vs,
         |a_k| k max(|u|,|v|,1)^(k-1) (v - u)."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        cells = float_cells(self.data.breaks, vs, exact=False)
         p = self.data
         idx = np.clip(cells, 0, len(p.coeffs) - 1)
         deg = max(len(c) for c in p.coeffs)
@@ -277,9 +273,6 @@ class Heaviside(_JumpLeaf):
 
     def osc_bound_array(self, us, vs):
         return np.where((us >= 0) | (vs <= 0), 0.0, 1.0)
-
-    def sup_bound_array(self, us, vs):
-        return np.ones(np.shape(us))
 
 
 class SeriesTerm(_JumpLeaf):
@@ -481,19 +474,15 @@ class Shape(Expr):
         self.sign = sign
         self._f = np.sin if trig == "sin" else np.cos
 
-    def _kernel(self, t):
-        """The value for t > SNAP; one formula for points and arrays."""
-        return t * (1 + self.sign * self._f(1.0 / t))
-
     def ev(self, t, side=0):
-        t = float(t)
-        return 0.0 if t <= SNAP else float(self._kernel(t))
+        return float(self.ev_array(float(t)))
 
     def ev_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
-        m = ts > SNAP
-        out[m] = self._kernel(ts[m])
+        m = ts > 0
+        t = ts[m]
+        out[m] = t * (1 + self.sign * self._f(1.0 / t))
         return out
 
     def osc_bound_array(self, us, vs):
@@ -526,25 +515,20 @@ class GFactor(Expr):
     def primitive_shape(self) -> Shape:
         return Shape("sin", -1) if self.variant == "A" else Shape("cos", +1)
 
-    def _kernel(self, r):
-        """The value at t = 1/r > SNAP; one formula for points and arrays."""
-        if self.variant == "A":
-            return r * np.cos(r) - np.sin(r) + 1
-        return r * np.sin(r) + np.cos(r) + 1
-
     def ev(self, t, side=0):
-        t = float(t)
-        if t <= SNAP:
-            if side > 0:
-                raise SecondKindLimit("no right limit at 0")
-            return 0.0
-        return float(self._kernel(1.0 / t))
+        if side > 0 and t <= 0:
+            raise SecondKindLimit("no right limit at 0")
+        return float(self.ev_array(float(t)))
 
     def ev_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
-        m = ts > SNAP
-        out[m] = self._kernel(1.0 / ts[m])
+        m = ts > 0
+        r = 1.0 / ts[m]
+        if self.variant == "A":
+            out[m] = r * np.cos(r) - np.sin(r) + 1
+        else:
+            out[m] = r * np.sin(r) + np.cos(r) + 1
         return out
 
     def osc_bound_array(self, us, vs):
@@ -749,10 +733,9 @@ class RecipT(Expr):
     """1/t: divergent at 0, the canonical non-integrable example."""
 
     def ev(self, t, side=0):
-        t = float(t)
-        if abs(t) <= SNAP:
+        if t == 0:
             raise SecondKindLimit("1/t blows up at 0")
-        return 1.0 / t
+        return float(self.ev_array(float(t)))
 
     def ev_array(self, ts):
         with np.errstate(divide="ignore"):
@@ -762,12 +745,6 @@ class RecipT(Expr):
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where((us <= 0) & (vs >= 0), np.inf, np.abs(1 / us - 1 / vs))
-
-    def sup_bound_array(self, us, vs):
-        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where((us <= 0) & (vs >= 0), np.inf,
-                            np.maximum(np.abs(1 / us), np.abs(1 / vs)))
 
     def sing_class(self):
         return DIV

@@ -299,6 +299,54 @@ def test_classify_consistency_chain():
         assert (not c.locally_lebesgue) or c.locally_hk
 
 
+# (locally Riemann, locally Lebesgue, locally HK, certified) of every
+# catalogued builder at its default parameters
+CLASSIFY_FLAGS = {
+    "E47_G": (True, True, True, False),
+    "E48_F": (True, True, True, False),
+    "E407_Gm": (False, False, True, False),
+    "E408_Fm": (True, True, True, False),
+    "E409_Gm": (False, True, True, False),
+    "E600_Fm": (True, True, True, False),
+    "E611_F": (True, True, True, False),
+    "heaviside": (True, True, True, False),
+    "heaviside_step": (True, True, True, True),
+    "t_G": (True, True, True, False),
+    "t2_Gm": (False, False, True, False),
+    "shape_A": (True, True, True, False),
+    "shape_B": (True, True, True, False),
+    "g_factor_A": (False, False, True, False),
+    "g_factor_B": (False, False, True, False),
+    "recip_t": (False, False, False, False),
+    "monomial": (True, True, True, False),
+}
+
+
+def _flags(c):
+    return (c.locally_riemann, c.locally_lebesgue, c.locally_hk, c.certified)
+
+
+def test_classify_every_builder():
+    assert set(CLASSIFY_FLAGS) == set(B.BUILDERS)
+    for name, want in CLASSIFY_FLAGS.items():
+        assert _flags(classify(B.build_function(name))) == want, name
+
+
+@pytest.mark.parametrize("name, lo, hi, want", [
+    # no jump of m <= 2 and not 0 in [1/8, 3/8]: the finite sup bound on
+    # the cut-split cells makes each locally Riemann
+    ("E409_Gm", F(1, 8), F(3, 8), (True, True, True, False)),
+    ("E407_Gm", F(1, 8), F(3, 8), (True, True, True, False)),
+    ("g_factor_A", F(1, 8), F(3, 8), (True, True, True, False)),
+    # the cut at 1/2 is inside [1/4, 3/4], and the bound next to it is inf
+    ("E409_Gm", F(1, 4), F(3, 4), (False, True, True, False)),
+    ("E407_Gm", F(1, 4), F(3, 4), (False, False, True, False)),
+    ("t2_Gm", F(1, 4), F(3, 4), (False, False, True, False)),
+])
+def test_classify_on_a_subinterval_reads_the_bound(name, lo, hi, want):
+    assert _flags(classify(B.build_function(name), Interval(lo, hi))) == want
+
+
 # -- integration --------------------------------------------------------------------------
 
 

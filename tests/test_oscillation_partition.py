@@ -62,3 +62,18 @@ def test_the_cell_cap_raises(monkeypatch):
     f = B.build_function("E47_G", m=3)  # 13,603 cells at n = 16
     with pytest.raises(EstimationError, match="exceeded 1000 cells at n=16"):
         FS.oscillation_partition(f, 16, f.interval)
+
+
+def test_a_nan_bound_splits_and_reports_like_an_infinite_one():
+    # 1 * E407_Gm: next to a cut the product's bound is inf * 0 = NaN (Gm's
+    # sup bound times the constant's zero oscillation); NaN > 1/n is false,
+    # so such a cell was kept whole and left out of the residual
+    g = B.hard_series_Gm(2)
+    one = FS.RegulatedFn.constant(1, g.interval)
+    with np.errstate(invalid="ignore"):
+        part = FS.oscillation_partition(FS.RegulatedFn.product_of(one, g),
+                                        64, g.interval)
+    alone = FS.oscillation_partition(g, 64, g.interval)
+    assert len(alone.values) == 77_359 and len(alone.residual) == 10
+    assert part.cuts == alone.cuts
+    assert part.residual == alone.residual

@@ -13,6 +13,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -261,14 +262,40 @@ def test_value_equals_sample_near_jumps(name):
         assert got == [float(v).hex() for v in f.sample(ts)], (name, m)
 
 
+KERNEL_NODES = [
+    (sym.Monomial(2), lambda t: t ** 2),
+    (sym.Monomial(3), lambda t: t ** 3),
+    (sym.Shape("sin", -1), lambda t: t * (1 - mpmath.sin(1 / t))),
+    (sym.Shape("cos", +1), lambda t: t * (1 + mpmath.cos(1 / t))),
+    (sym.GFactor("A"),
+     lambda t: mpmath.cos(1 / t) / t - mpmath.sin(1 / t) + 1),
+    (sym.GFactor("B"),
+     lambda t: mpmath.sin(1 / t) / t + mpmath.cos(1 / t) + 1),
+    (sym.RecipT(), lambda t: 1 / t),
+]
+
+
 def test_kernel_nodes_agree_on_points():
-    # Monomial, Shape and GFactor evaluate one point through their array
-    # kernel too (a float's ** calls libm pow, numpy's does not)
-    ts = np.random.default_rng(11).uniform(0.01, 1, 200)
-    for e in (sym.Monomial(2), sym.Monomial(3), sym.Shape("sin", -1),
-              sym.Shape("cos", +1), sym.GFactor("A"), sym.GFactor("B")):
-        arr = e.ev_array(ts)
-        assert [e.ev(t) for t in ts.tolist()] == arr.tolist(), type(e).__name__
+    # Monomial, Shape, GFactor and RecipT evaluate one point through their
+    # array kernel too (a float's ** calls libm pow, numpy's does not), and
+    # only t = 0 itself takes the value at 0: each point 2^-k reads the
+    # formula, checked against mpmath there (1/t = 2^k is exact, so no
+    # rounding of 1/t is amplified by the steep 1/t terms)
+    small = [2.0 ** -k for k in range(20, 61)]
+    ts = np.random.default_rng(11).uniform(0.01, 1, 200).tolist() + small
+    for e, formula in KERNEL_NODES:
+        name = type(e).__name__
+        arr = e.ev_array(np.array(ts))
+        assert [e.ev(t) for t in ts] == arr.tolist(), name
+        assert all(e.ev(t) == e.ev_array([t])[0] for t in ts), name
+        with mpmath.workdps(50):
+            for t in small:
+                err = abs(e.ev(t) - formula(mpmath.mpf(t)))
+                assert err <= 1e-14 * (1 + 1 / t), (name, t, float(err))
+    for name in ("g_factor_A", "g_factor_B", "recip_t", "shape_A", "shape_B"):
+        f = B.build_function(name)
+        for t in ts:
+            assert f.value(t) == f.sample([t])[0] == f.value(F(t)), (name, t)
 
 
 # -- work counts -------------------------------------------------------------------------
