@@ -27,10 +27,10 @@ print("   exist because of the reciprocal phase)")
 
 print("\n== integrability classification ==")
 for name, params in [("t_G", {"m": 4}), ("E409_Gm", {"m": 2}),
-                     ("t2_Gm", {"m": 2}), ("recip_t", {})]:
+                     ("t2_Gm", {"m": 2}), ("recip_t", {}), ("heaviside_step", {})]:
     f = B.build_function(name, **params)
     c = classify(f)
-    print(f"  {name:10s} riemann={c.locally_riemann!s:5s} "
+    print(f"  {name:14s} {f.kind:8s} riemann={c.locally_riemann!s:5s} "
           f"lebesgue={c.locally_lebesgue!s:5s} hk={c.locally_hk!s:5s} "
           f"certified={c.certified}")
 

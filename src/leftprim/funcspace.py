@@ -18,7 +18,7 @@ from . import symbolic as sym
 from .intervals import DomainError, Interval
 from .quadrature import (EstimationError, IntegrabilityError,
                          integrate_piecewise, richardson_limit)
-from .stepfn import PiecewisePoly, StepFn, float_cells
+from .stepfn import PiecewisePoly, StepFn
 
 _PROBES = 40_000        # probe lattice cells of oscillation_partition
 _MAX_CELLS = 2_000_000  # cells oscillation_partition may bound in all
@@ -45,15 +45,15 @@ class RegulatedFn:
 
     @property
     def kind(self) -> str:
-        """``step`` / ``poly`` for exact leaves, ``lincomb`` / ``product`` /
-        ``symbolic`` otherwise: the root node's declared ``kind``."""
+        """A display label, not a dispatch key: the root node's declared
+        ``kind``, ``step`` / ``poly`` for exact leaves, else ``lincomb`` /
+        ``product`` / ``symbolic``."""
         return self.expr.kind
 
     @property
     def payload(self):
         """The exact StepFn / PiecewisePoly data of a leaf, else the expression."""
-        leaf = isinstance(self.expr, (sym.StepLeaf, sym.PolyLeaf))
-        return self.expr.data if leaf else self.expr
+        return self.expr if self.expr.data is None else self.expr.data
 
     # -- constructors -----------------------------------------------------------
 
@@ -71,22 +71,20 @@ class RegulatedFn:
         if not parts:
             raise ValueError("empty linear combination")
         iv = interval or parts[0][1].interval
-        if all(f.kind == "step" for _, f in parts):
-            acc = None
-            for c, f in parts:
-                term = f.payload.map(lambda v, c=c: _like(c, v) * v)
-                acc = term if acc is None else acc + term
-            return cls.from_step(acc)
+        steps = [f.expr.step() for _, f in parts]
+        if all(sf is not None for sf in steps):
+            terms = [sf.map(lambda v, c=c: _like(c, v) * v)
+                     for (c, _), sf in zip(parts, steps)]
+            return cls.from_step(sum(terms[1:], terms[0]))
         return cls(sym.Sum([sym.Scale(c, f.expr, f.primitive) for c, f in parts]), iv)
 
     @classmethod
     def product_of(cls, f: "RegulatedFn", g: "RegulatedFn", name: str = "") -> "RegulatedFn":
-        if f.kind == "step" and g.kind == "step":
-            return cls.from_step(f.payload * g.payload, name)
-        if f.kind in ("step", "poly") and g.kind in ("step", "poly"):
-            fp = f.payload.as_poly() if f.kind == "step" else f.payload
-            gp = g.payload.as_poly() if g.kind == "step" else g.payload
-            return cls.from_poly(fp * gp, name)
+        fs, gs = f.expr.step(), g.expr.step()
+        if fs is not None and gs is not None:
+            return cls.from_step(fs * gs, name)
+        if f.expr.data is not None and g.expr.data is not None:
+            return cls.from_poly(f.expr.data.as_poly() * g.expr.data.as_poly(), name)
         return cls(sym.Product(f.expr, g.expr), f.interval, name)
 
     @classmethod
@@ -169,8 +167,6 @@ def limits(f: RegulatedFn, t):
 
     At the domain minimum the left limit is reported as the value itself.
     """
-    if not f.interval.contains(t):
-        raise DomainError(f"{t} outside {f.interval}")
     val = f.value(t)
     left = val if t == f.interval.lo else f.left_limit(t)
     right = f.right_limit(t)
@@ -229,8 +225,9 @@ def oscillation_partition(f: RegulatedFn, n: int, J: Interval) -> OscillationPar
             "unsupported: oscillation partition needs a compact interval "
             "(no tail limit was supplied)")
     lo, hi = float(J.lo), float(J.hi)
-    if f.kind == "step":
-        sf = f.payload.restrict(Fraction(J.lo), Fraction(J.hi)).merged()
+    sf = f.expr.step(J.lo, J.hi)
+    if sf is not None:
+        sf = sf.merged()
         return OscillationPartition(n, J, list(sf.breaks), list(sf.values),
                                     True, [])
 
@@ -271,12 +268,14 @@ def step_approximation(f: RegulatedFn, n: int, J: Interval = None) -> StepFn:
     For step input the result is the merged restriction (zero error).  For
     symbolic input the bound is certified on the probe lattice, except inside
     the reported residual cells hugging second-kind discontinuities.  A
-    break at ``float(c)``, for a bound cut or an end c of J, is c itself.
+    bisection break at ``float(c)``, for a bound cut or an end c of J, is c.
     """
     J = J or f.interval
     part = oscillation_partition(f, n, J)
-    exact = {float(c): c for c in [J.lo, J.hi, *f.expr.bound_cuts(J.lo, J.hi)]}
-    cuts = part.cuts if f.kind == "step" else [exact.get(x, x) for x in part.cuts]
+    cuts = part.cuts
+    if not part.certified:
+        exact = {float(c): c for c in [J.lo, J.hi, *f.expr.bound_cuts(J.lo, J.hi)]}
+        cuts = [exact.get(x, x) for x in cuts]
     return StepFn(cuts, part.values, f.value(cuts[0]))
 
 
@@ -284,30 +283,31 @@ def lattice(f: RegulatedFn, g: RegulatedFn, op: str) -> RegulatedFn:
     """Pointwise join (max) or meet (min); exact on step data."""
     if f.interval.lo != g.interval.lo or f.interval.hi != g.interval.hi:
         raise DomainError("lattice operands on different intervals")
-    if f.kind == "step" and g.kind == "step":
-        out = f.payload.join(g.payload) if op == "join" else f.payload.meet(g.payload)
-        return RegulatedFn.from_step(out)
+    fs, gs = f.expr.step(), g.expr.step()
+    if fs is not None and gs is not None:
+        return RegulatedFn.from_step(fs.join(gs) if op == "join" else fs.meet(gs))
     return RegulatedFn(sym.PointwiseExtreme(f.expr, g.expr, op == "join"), f.interval)
 
 
 def abs_fn(f: RegulatedFn) -> RegulatedFn:
-    if f.kind == "step":
-        return RegulatedFn.from_step(f.payload.abs())
+    sf = f.expr.step()
+    if sf is not None:
+        return RegulatedFn.from_step(sf.abs())
     return RegulatedFn(sym.AbsExpr(f.expr), f.interval)
 
 
 def pos_fn(f: RegulatedFn) -> RegulatedFn:
-    if f.kind == "step":
-        return RegulatedFn.from_step(f.payload.pos())
-    zero = RegulatedFn.constant(0, f.interval)
-    return lattice(f, zero, "join")
+    sf = f.expr.step()
+    if sf is not None:  # the lattice's Fraction 0 would replace a float 0.0
+        return RegulatedFn.from_step(sf.pos())
+    return lattice(f, RegulatedFn.constant(0, f.interval), "join")
 
 
 def neg_fn(f: RegulatedFn) -> RegulatedFn:
-    if f.kind == "step":
-        return RegulatedFn.from_step(f.payload.neg())
-    zero = RegulatedFn.constant(0, f.interval)
-    return lattice(RegulatedFn.lincomb([(-1, f)]), zero, "join")
+    sf = f.expr.step()
+    if sf is not None:  # and -1 * v would turn int data into Fractions
+        return RegulatedFn.from_step(sf.neg())
+    return pos_fn(RegulatedFn.lincomb([(-1, f)]))
 
 
 def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
@@ -323,13 +323,9 @@ def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
     J = J or F.interval
     if kind not in ("alexiewicz", "l1", "sup"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    if F.kind == "step":
-        sf = F.payload
-        if (J.lo, J.hi) != (sf.lo, sf.hi):
-            sf = sf.restrict(Fraction(J.lo), Fraction(J.hi))
-        return getattr(sf, f"{kind}_norm")()
-    if F.kind == "poly":
-        return _poly_norm(F.payload, kind, J, grid)
+    exact = F.expr.norm(kind, J.lo, J.hi, grid)
+    if exact is not None:
+        return exact
     lo, hi = float(J.lo), float(J.hi)
     if kind == "sup":
         if not classify(F, J).locally_riemann:
@@ -361,24 +357,6 @@ def norm(F: RegulatedFn, kind: str, J: Interval = None, tol: float = 1e-10,
         steps = np.where(pts[1:] == pts[:-1], 0.0, np.diff(P.sample(pts)))
     acc = np.cumsum(steps)
     return max(0.0, float(acc.max())) - min(0.0, float(acc.min()))
-
-
-def _poly_norm(poly: PiecewisePoly, kind: str, J: Interval, grid: int):
-    """Norms of piecewise polynomials: sampled at breakpoints plus a dense
-    grid (sup and the cumulative extrema are attained to O(h^2)).  A sample
-    at ``float(b)`` reads the cell closing at the break b."""
-    lo, hi = float(J.lo), float(J.hi)
-    ts = np.unique(np.concatenate([
-        np.linspace(lo, hi, grid + 1),
-        np.array([float(b) for b in poly.breaks if lo <= float(b) <= hi])]))
-    cells = float_cells(poly.breaks, ts, exact=False)
-    vals = poly.eval_cells(ts, cells)
-    if kind == "sup":
-        return float(np.max(np.abs(vals)))
-    if kind == "l1":
-        return float(np.trapezoid(np.abs(vals), ts))
-    cvals = poly.cumulative().eval_cells(ts, cells)
-    return float(np.max(cvals) - np.min(cvals))
 
 
 def local_metric(F: RegulatedFn, G: RegulatedFn, kind: str, exhaustion,
@@ -417,7 +395,7 @@ def classify(F: RegulatedFn, J: Interval = None) -> Classification:
     carries certified=False.
     """
     J = J or F.interval
-    if F.kind in ("step", "poly"):
+    if F.expr.data is not None:
         return Classification(True, True, True, True)
     sing = F.expr.sing_class()
     us, vs = _cut_cells(F, J)

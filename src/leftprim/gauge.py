@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import symbolic as sym
 from .funcspace import RegulatedFn, integrate_regulated
 from .intervals import DomainError, Interval
-from .stepfn import PiecewisePoly, StepFn, _lattice, _q, _sums
+from .stepfn import PiecewisePoly, StepFn
 
 
 class PartitionOverflow(RuntimeError):
@@ -148,13 +148,9 @@ def stieltjes(F: RegulatedFn, g, a, b, tol: float = 1e-9):
     plus the atoms F(t) [g(t+) - g(t)] at g's breaks t in (a, b].
     """
     gr = _resolve_bv(g)  # a Multiplier builds its g once
-    if F.kind == "step":
-        Fn = F.payload.restrict(Fraction(a), Fraction(b)) \
-            if (a, b) != (F.payload.lo, F.payload.hi) else F.payload
-        gv = _g_rights(gr, Fn.breaks)
-        # sum_k v_k (gv[k+1] - gv[k]), as ints over one denominator on exact data
-        acc, _, _, den = _sums(Fn, gv, _lattice(gv) if Fn.exact else (None, None), 0)
-        return _q(acc[-1], den)
+    total = F.expr.cell_sum(lambda bs: _g_rights(gr, bs), a, b)
+    if total is not None:
+        return total
     if a < gr.lo:
         raise DomainError(f"{a} below the domain of g [{gr.lo}, {gr.hi}]")
     bs, total = gr.breaks, 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import funcspace as fs
 from .funcspace import RegulatedFn, integrate_regulated
 from .intervals import DomainError, Interval
-from .quadrature import integrate_piecewise
+from .quadrature import EstimationError, integrate_piecewise
 from .stepfn import PiecewisePoly, StepFn
 
 
@@ -60,8 +60,6 @@ def primitive_integral(f: Distribution, a, b, endpoint_mode: str = "closed_open"
     F = f.primitive
     if not (F.interval.contains(a) and F.interval.contains(b)):
         raise DomainError(f"integration endpoints outside {F.interval}")
-    if endpoint_mode == "closed_open":
-        return F.value(b) - F.value(a)
     amode, bmode = endpoint_mode.split("_")
     lo_val = F.value(a) if amode == "closed" else _right(F, a)
     hi_val = F.value(b) if bmode == "open" else _right(F, b)
@@ -82,10 +80,10 @@ def cumulative(f: Distribution, a, c) -> RegulatedFn:
     F = f.primitive
     if not F.interval.contains(a):
         raise DomainError(f"{a} outside {F.interval}")
-    if F.kind in ("step", "poly"):  # shift the exact data, keep its leaf type
-        data = F.payload + (c - F.payload(a))
-        return RegulatedFn(type(F.expr)(data), data.interval)
     shift = c - F.value(a)
+    if F.expr.data is not None:  # shift the exact data, keep its leaf type
+        data = F.expr.data + shift
+        return RegulatedFn(type(F.expr)(data), data.interval)
     return F if shift == 0 else F + RegulatedFn.constant(shift, F.interval)
 
 
@@ -110,19 +108,21 @@ def hake(f: Distribution, side: str, c):
 class Multiplier:
     """A Lipschitz multiplier g(x) = int_anchor^x h for bounded-variation h.
 
-    g is stored exclusively through its density; Vh is exact for step
-    densities, a sampled estimate with ``variation_certified=False``
-    otherwise.
+    g is stored exclusively through its density; ``step``, the density's
+    exact step data (else None), makes g and Vh exact; otherwise Vh is a
+    sampled estimate with ``variation_certified=False``.
     """
 
     density: RegulatedFn
     anchor: object
+    step: StepFn | None = field(init=False)
     variation: object = field(init=False)
     variation_certified: bool = field(init=False)
 
     def __post_init__(self):
-        self.variation_certified = self.density.kind == "step"
-        self.variation = self.density.payload.variation() \
+        self.step = self.density.expr.step()
+        self.variation_certified = self.step is not None
+        self.variation = self.step.variation() \
             if self.variation_certified else _sampled_variation(self.density)
 
     @classmethod
@@ -131,15 +131,15 @@ class Multiplier:
 
     def g_fn(self) -> PiecewisePoly:
         """g as an exact piecewise-linear function (step densities only)."""
-        if self.density.kind != "step":
+        if self.step is None:
             raise MultiplierError(
                 f"g_fn needs a step density, not {self.density.kind!r}")
-        cum = self.density.payload.cumulative()
+        cum = self.step.cumulative()
         offset = cum(self.anchor)
         return cum + (-1 * offset)
 
     def g(self, x):
-        if self.density.kind == "step":
+        if self.step is not None:
             return self.g_fn()(x)
         v, _ = integrate_regulated(self.density, self.anchor, x)
         return v
@@ -190,17 +190,15 @@ def pairing(f: Distribution, phi: TestFn, tol: float = 1e-10):
     lo, hi = phi.support
     if not (float(F.interval.lo) < lo and hi < float(F.interval.hi)):
         raise DomainError("test function support escapes the domain interior")
-    if F.kind == "step":
-        # exact cellwise: int F phi' = sum v_i (phi(y_i) - phi(x_i))
-        total = 0.0
-        for x, y, v in F.payload.to_cells():
-            total += float(v) * (phi(y) - phi(x))
+    # step data, cell by cell: int F phi' = sum v_i (phi(y_i) - phi(x_i))
+    total = F.expr.cell_sum(lambda bs: [phi(b) for b in bs],
+                            F.interval.lo, F.interval.hi)
+    if total is not None:
         return -total
     cuts = [float(c) for c in F.jumps(lo, hi)]
     val, err = integrate_piecewise(
         lambda ts: F.sample(ts) * phi.deriv_array(ts), lo, hi, cuts, tol)
     if err > tol:
-        from .quadrature import EstimationError
         raise EstimationError(
             f"pairing quadrature bound {err:.2e} exceeds tol {tol:.2e}")
     return -val
@@ -216,31 +214,28 @@ def parts(f: Distribution, g: Multiplier, a, b):
     |F(b)||g(b)| + ||F||_1 ||h||_inf in the LL case (the Hoelder form),
     norms taken on [a, b].  Exact when both F and h are step data.
     """
-    F = f.primitive
+    F, Fx = f.primitive, f.primitive.expr.data
     h = g.density
     sup_h = fs.norm(h, "sup")
     if not np.isfinite(float(sup_h)):
         raise MultiplierError("multiplier density is unbounded")
     gb = g.g(b)
     J = Interval(a, b)
-    if F.kind in ("step", "poly") and h.kind == "step":
-        Fa = F.payload(a)
-        Fb = F.payload(b) - Fa
+    Fa = F.value(a)
+    Fb = F.value(b) - Fa
+    if Fx is not None and g.step is not None:
         # exact: sum over density cells of v * int (F - F(a))
         integral_part = 0
-        for x, y, v in h.payload.to_cells():
+        for x, y, v in g.step.to_cells():
             lo, hi = max(x, Fraction(a)), min(y, Fraction(b))
             if hi > lo:
-                integral_part += v * (F.payload.integral(lo, hi) - Fa * (hi - lo))
-        value = Fb * gb - integral_part
+                integral_part += v * (Fx.integral(lo, hi) - Fa * (hi - lo))
     else:
-        Fa = F.value(a)
-        Fb = F.value(b) - Fa
         cuts = [float(c) for c in F.jumps(a, b)] + [float(c) for c in h.jumps(a, b)]
-        integral_part, err = integrate_piecewise(
+        integral_part, _ = integrate_piecewise(
             lambda ts: (F.sample(ts) - Fa) * h.sample(ts),
             float(a), float(b), cuts)
-        value = Fb * gb - integral_part
+    value = Fb * gb - integral_part
     F0 = cumulative(f, a, 0)  # anchored at a; the norms restrict to J
     if f.space_tag == "LL":
         bound = abs(Fb) * abs(gb) + float(fs.norm(F0, "l1", J)) * float(sup_h)

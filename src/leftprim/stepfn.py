@@ -585,6 +585,9 @@ class PiecewisePoly(_Cells):
         pts, cells = _refine(self.breaks, extra)
         return PiecewisePoly(pts, [self.coeffs[j] for j in cells], self.base_value)
 
+    def as_poly(self) -> "PiecewisePoly":
+        return self
+
     def sample_array(self, ts):
         """Vectorised left-continuous evaluation (float), cell for cell as
         ``__call__``."""

@@ -95,18 +95,10 @@ def parts_suite(seed: int = 0, count: int = 200):
         g = Multiplier.from_step_density(h, F(0))
         space = "LL" if rng.integers(2) else "LD"
         value, bound = parts(Distribution(prim, space), g, F(0), F(1))
-        # oracle: f = F', f*g piecewise polynomial, integrated exactly
+        # oracle: f = F', f*g piecewise polynomial on h's cells, integrated exactly
         fprime = tuple((i + 1) * c for i, c in enumerate(coeffs[1:]))
-        gpoly = g.g_fn()
-        total = F(0)
-        for x, y, v in h.to_cells():
-            # on this cell g is linear; f*g = fprime * g
-            piece = PiecewisePoly([x, y], [fprime])
-            gg = PiecewisePoly([x, y], [gpoly.coeffs[gpoly.breaks.index(x)]
-                                        if x in gpoly.breaks else
-                                        gpoly.coeffs[0]])
-            prod = piece * gg
-            total += prod.integral(x, y)
+        fpoly = PiecewisePoly(h.breaks, [fprime] * len(h.values))
+        total = (fpoly * g.g_fn()).integral()
         if abs(float(value) - float(total)) > 1e-8:
             violations.append(
                 f"parts mismatch at case {k}: {float(value)} vs {float(total)}")

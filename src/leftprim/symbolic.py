@@ -17,7 +17,10 @@ domain-minimum and the array paths alike.  Every node knows
   straddle a declared cut, which drive the oscillation-partition refinement
   (the sup bound defaults to |f(v)| + osc on (u, v]),
 * a closed-form integral where one exists (``None`` otherwise),
-* a singularity class used by the integrability classifier.
+* a singularity class used by the integrability classifier,
+* its exact routes (``data``, ``step``, ``norm``, ``cell_sum``), which the
+  exact leaves answer from their data and every other node with ``None``,
+  where the caller takes its numeric route.
 
 One function, ``_split``, picks the branch at a jump of the frac and
 Heaviside leaves, for points and arrays alike: exactly at a rational point,
@@ -36,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quadrature import oscillatory_t_trig
-from .stepfn import float_cells
+from .stepfn import _lattice, _q, _sums, float_cells
 
 SNAP = 1e-9
 
@@ -105,13 +108,11 @@ def primitive_difference(P, a, b):
 
 
 class Expr:
-    """Base node; subclasses override the protocol methods.  ``kind`` names
+    """Base node; subclasses override the protocol methods.  ``kind`` labels
     the node for :attr:`leftprim.funcspace.RegulatedFn.kind`."""
 
     kind = "symbolic"
-
-    def ev(self, t, side=0) -> float:
-        raise NotImplementedError
+    data = None  # the exact StepFn / PiecewisePoly of an exact leaf
 
     def ev_min(self, t):
         """Value at a domain minimum t: the right branch (right continuity
@@ -144,6 +145,19 @@ class Expr:
 
     def sing_class(self) -> int:
         return BOUNDED
+
+    def step(self, lo=None, hi=None):
+        """Exact step data, restricted to [lo, hi] when given."""
+        return None
+
+    def norm(self, kind, lo, hi, grid):
+        """The alexiewicz / l1 / sup norm of exact data on [lo, hi]."""
+        return None
+
+    def cell_sum(self, w, lo, hi):
+        """sum_k v_k (w(y_k) - w(x_k)) over the step cells (x_k, y_k] on
+        [lo, hi], ``w`` mapping the list of breaks to their weights."""
+        return None
 
 
 class _ExactLeaf(Expr):
@@ -193,6 +207,22 @@ class StepLeaf(_ExactLeaf):
     def osc_bound_array(self, us, vs):
         return np.zeros(np.shape(us))  # cells are cut at every breakpoint
 
+    def step(self, lo=None, hi=None):
+        sf = self.data
+        if lo is None or (lo, hi) == (sf.lo, sf.hi):
+            return sf
+        return sf.restrict(Fraction(lo), Fraction(hi))
+
+    def norm(self, kind, lo, hi, grid):
+        return getattr(self.step(lo, hi), f"{kind}_norm")()
+
+    def cell_sum(self, w, lo, hi):
+        sf = self.step(lo, hi)
+        ws = w(sf.breaks)
+        # as ints over one denominator on exact data
+        acc, _, _, den = _sums(sf, ws, _lattice(ws) if sf.exact else (None, None), 0)
+        return _q(acc[-1], den)
+
 
 class PolyLeaf(_ExactLeaf):
     """A :class:`~leftprim.stepfn.PiecewisePoly`."""
@@ -218,6 +248,21 @@ class PolyLeaf(_ExactLeaf):
         for k in range(1, deg):
             lip = lip + cmat[idx, k] * k * scale ** (k - 1)
         return lip * (vs - us)
+
+    def norm(self, kind, lo, hi, grid):
+        """Sampled at the breaks plus a dense grid (sup and the cumulative
+        extrema are attained to O(h^2)): an estimate, not a bound."""
+        lo, hi = float(lo), float(hi)
+        ts = np.unique(np.concatenate([
+            np.linspace(lo, hi, grid + 1),
+            np.array([float(b) for b in self.data.breaks if lo <= float(b) <= hi])]))
+        vals = self.ev_array(ts)
+        if kind == "sup":
+            return float(np.max(np.abs(vals)))
+        if kind == "l1":
+            return float(np.trapezoid(np.abs(vals), ts))
+        cvals = PolyLeaf(self.data.cumulative()).ev_array(ts)
+        return float(np.max(cvals) - np.min(cvals))
 
 
 class Monomial(Expr):
@@ -284,15 +329,6 @@ class SeriesTerm(_JumpLeaf):
     array bounds of |g| and of its Lipschitz constant over phi-ranges
     (phi_lo, phi_hi].
     """
-
-    def g_array(self, phi):
-        raise NotImplementedError
-
-    def g_sup(self, phi_lo, phi_hi):
-        raise NotImplementedError
-
-    def g_lip(self, phi_lo, phi_hi):
-        raise NotImplementedError
 
     continuous = False
 
@@ -486,12 +522,12 @@ class Shape(Expr):
         return out
 
     def osc_bound_array(self, us, vs):
+        top = self.sup_bound_array(us, vs)  # 0 <= f <= 2 max(t, 0)
         p = np.maximum(us, 1e-300)
-        return np.where(us <= 0, 2 * vs,
-                        np.minimum(2 * vs, (2 + 1.0 / p) * (vs - us)))
+        return np.where(us <= 0, top, np.minimum(top, (2 + 1.0 / p) * (vs - us)))
 
     def sup_bound_array(self, us, vs):
-        return 2 * np.asarray(vs, dtype=float)
+        return 2 * np.maximum(np.asarray(vs, dtype=float), 0.0)
 
     def integral(self, a, b, tol=1e-12):
         """Exact-splitting integral: t^2/2 term plus certified oscillatory part."""
@@ -553,8 +589,10 @@ class GFactor(Expr):
 
 class _Composite(Expr):
     """A node built from child expressions: jumps and cuts merge, the
-    singularity class is the worst of the children's, and every evaluation
-    path defaults to ``_op`` of the children's values on that path."""
+    singularity class is the worst of the children's, every evaluation
+    path defaults to ``_op`` of the children's values on that path, and
+    both bounds to ``_bound`` of an iterator over the children's bounds of
+    that kind (a sum adds them as they come)."""
 
     def __init__(self, *children):
         self.children = children
@@ -573,6 +611,12 @@ class _Composite(Expr):
 
     def bound_cuts(self, lo, hi):
         return _merge_jumps(x.bound_cuts(lo, hi) for x in self.children)
+
+    def osc_bound_array(self, us, vs):
+        return self._bound(us, (x.osc_bound_array(us, vs) for x in self.children))
+
+    def sup_bound_array(self, us, vs):
+        return self._bound(us, (x.sup_bound_array(us, vs) for x in self.children))
 
     def sing_class(self):
         return max((x.sing_class() for x in self.children), default=BOUNDED)
@@ -600,11 +644,8 @@ class Scale(_Composite):
     def jumps(self, lo, hi):
         return [] if self.c == 0 else self.inner.jumps(lo, hi)
 
-    def osc_bound_array(self, us, vs):
-        return abs(float(self.c)) * self.inner.osc_bound_array(us, vs)
-
-    def sup_bound_array(self, us, vs):
-        return abs(float(self.c)) * self.inner.sup_bound_array(us, vs)
+    def _bound(self, us, bounds):
+        return abs(float(self.c)) * next(bounds)
 
     def integral(self, a, b, tol=1e-12):
         part = primitive_difference(self.primitive, a, b) \
@@ -640,13 +681,8 @@ class Sum(_Composite):
             acc += x.ev_array(ts)
         return acc
 
-    def osc_bound_array(self, us, vs):
-        return sum((x.osc_bound_array(us, vs) for x in self.children),
-                   np.zeros(np.shape(us)))
-
-    def sup_bound_array(self, us, vs):
-        return sum((x.sup_bound_array(us, vs) for x in self.children),
-                   np.zeros(np.shape(us)))
+    def _bound(self, us, bounds):
+        return sum(bounds, np.zeros(np.shape(us)))
 
     def integral(self, a, b, tol=1e-12):
         """Term by term, only when every term has a closed form."""
@@ -687,10 +723,18 @@ class Product(_Composite):
 
     def osc_bound_array(self, us, vs):
         sa, sb = self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs)
-        return sa * self.b.osc_bound_array(us, vs) + sb * self.a.osc_bound_array(us, vs)
+        return (_times(sa, self.b.osc_bound_array(us, vs))
+                + _times(sb, self.a.osc_bound_array(us, vs)))
 
     def sup_bound_array(self, us, vs):
-        return self.a.sup_bound_array(us, vs) * self.b.sup_bound_array(us, vs)
+        return _times(self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs))
+
+
+def _times(x, y):
+    """x * y for bound arrays, 0 where either is an exact 0 (a factor that is 0
+    or constant on the cell), even against an infinite bound."""
+    with np.errstate(invalid="ignore"):
+        return np.where((x == 0) | (y == 0), 0.0, x * y)
 
 
 class PointwiseExtreme(_Composite):
@@ -707,26 +751,16 @@ class PointwiseExtreme(_Composite):
         op = np.maximum if self.is_max else np.minimum
         return op(self.a.ev_array(ts), self.b.ev_array(ts))
 
-    def osc_bound_array(self, us, vs):
-        return np.maximum(self.a.osc_bound_array(us, vs), self.b.osc_bound_array(us, vs))
-
-    def sup_bound_array(self, us, vs):
-        return np.maximum(self.a.sup_bound_array(us, vs), self.b.sup_bound_array(us, vs))
+    def _bound(self, us, bounds):
+        return np.maximum(*bounds)
 
 
 class AbsExpr(_Composite):
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.inner = inner
-
     def _op(self, v):
         return abs(v)
 
-    def osc_bound_array(self, us, vs):
-        return self.inner.osc_bound_array(us, vs)
-
-    def sup_bound_array(self, us, vs):
-        return self.inner.sup_bound_array(us, vs)
+    def _bound(self, us, bounds):
+        return next(bounds)
 
 
 class RecipT(Expr):

@@ -223,3 +223,23 @@ def test_no_asserts_in_package():
                 tree = ast.parse(fh.read(), name)
             found += [(name, where) for where in _asserts(tree)]
     assert found == [("integral.py", "parts")]
+
+
+def test_no_kind_dispatch_outside_symbolic():
+    """``kind`` is a display label: no module but ``symbolic`` compares it
+    (``==``, ``!=``, ``in``, ``not in``); an exact route is a node method that
+    the exact leaves answer and every other node answers with None."""
+    src = os.path.join(ROOT, "src", "leftprim")
+    tests = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "symbolic.py":
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(op, tests) for op in node.ops) and any(
+                        isinstance(x, ast.Attribute) and x.attr == "kind"
+                        for x in [node.left, *node.comparators]):
+                    found.append((name, node.lineno))
+    assert found == []

@@ -2,6 +2,7 @@
 a binary search of the probe lattice, and its cell cap."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -77,3 +78,18 @@ def test_a_nan_bound_splits_and_reports_like_an_infinite_one():
     assert len(alone.values) == 77_359 and len(alone.residual) == 10
     assert part.cuts == alone.cuts
     assert part.residual == alone.residual
+
+
+def test_a_zero_factor_contributes_zero_to_a_products_bound():
+    # a factor whose bound is an exact 0 is 0 or constant on the cell, so its
+    # term of the product's bound is 0, not inf * 0 = NaN: 0 * E407_Gm is
+    # bounded, and 1 * E407_Gm partitions as E407_Gm does, without warnings
+    g = B.hard_series_Gm(2)
+    zero, one = (FS.RegulatedFn.constant(c, g.interval) for c in (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = FS.classify(FS.RegulatedFn.product_of(zero, g))
+        part = FS.oscillation_partition(FS.RegulatedFn.product_of(one, g),
+                                        4, g.interval)
+    assert (c.locally_riemann, c.locally_lebesgue, c.locally_hk) == (True, True, True)
+    assert part.cuts == FS.oscillation_partition(g, 4, g.interval).cuts

@@ -99,6 +99,21 @@ def test_node_bounds(expr, lo, hi):
         assert np.max(np.abs(vals)) <= s + slack, (u, v)
 
 
+def test_shape_bounds_are_not_negative_left_of_zero():
+    # t (1 + trig(1/t)) is 0 for t <= 0, so its bounds there are 0, not
+    # 2 v < 0, and a product built on shape_A(-1, 1) encloses its values
+    us, vs = np.array([-1.0, -0.5, -0.25]), np.array([-0.5, 0.0, 0.5])
+    shape = sym.Shape("cos", +1)
+    assert shape.sup_bound_array(us, vs).tolist() == [0.0, 0.0, 1.0]
+    assert shape.osc_bound_array(us, vs).tolist() == [0.0, 0.0, 1.0]
+    f = RegulatedFn.product_of(B.shape_A(-1, 1), B.monomial(1, -1, 1))
+    us, vs = _cells(f.expr, -1, 1, np.random.default_rng(4), count=200)
+    assert np.sum(vs <= 0) >= 10  # cells left of 0 are probed
+    for u, v, o, s in zip(us, vs, f.osc_bound_array(us, vs), f.sup_bound_cells(us, vs)):
+        vals = f.sample(u + (v - u) * np.linspace(1e-3, 1.0, 64))
+        assert np.ptp(vals) <= o + 1e-12 and np.max(np.abs(vals)) <= s + 1e-12, (u, v)
+
+
 # -- exact leaves and registered primitives inside combinations -------------------
 
 
